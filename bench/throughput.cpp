@@ -4,14 +4,14 @@
 // The paper's prototype analyzed one POP's NetFlow feed on one CPU; the
 // runtime is the piece that scales the identical pipeline across cores.
 // This bench replays one generated testbed stream (sim::generate_stream)
-// through (a) a single InFilterEngine calling process() per flow, (b) the
-// same engine calling process_batch() in 256-flow chunks, and (c) a
-// ShardedRuntime at several shard counts, and writes BENCH_throughput.json:
-// records/sec, speedup vs serial, and the runtime's drop/backpressure
-// counters. Speedups are only
-// meaningful up to `hardware_threads` (reported in the JSON) -- on a
-// single-core host every shard count serializes onto one CPU and the
-// sharded numbers mostly measure dispatch overhead.
+// through (a) a single InFilterEngine calling process() per flow (a batch
+// of one), (b) the same engine calling process_batch() in 256-flow chunks,
+// and (c) a ShardedRuntime at several shard counts, and writes
+// BENCH_throughput.json: records/sec, speedup vs serial, and the runtime's
+// drop/backpressure counters. Speedups are only meaningful up to
+// `hardware_threads` (reported in the JSON) -- on a single-core host every
+// shard count serializes onto one CPU and the sharded numbers mostly
+// measure dispatch overhead.
 //
 // Usage:
 //   throughput [--smoke]            # small preset, used by the ctest entry

@@ -95,7 +95,7 @@ def collate(root, out_path, expected):
         for run in doc.get("runs", []):
             point = {"bench": name, "mode": run.get("mode", "?")}
             for key in ("records_per_sec", "flows_per_sec", "speedup_vs_serial",
-                        "throughput_vs_untraced", "seconds", "producers",
+                        "cpu_efficiency_vs_untraced", "seconds", "producers",
                         "shard_queue_peak_min", "shard_queue_peak_max",
                         "memory_bytes", "lookup_ns_per_flow",
                         "memory_ratio_vs_exact", "false_positive_ratio",

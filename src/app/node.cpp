@@ -143,16 +143,6 @@ void InFilterNode::add_expected(core::IngressId ingress, const net::Prefix& pref
   }
 }
 
-void InFilterNode::install_hopcount(const hopcount::HopCountTable& table) {
-  if (ingest_) {
-    ingest_->quiesce([&] { runtime_->install_hopcount(table); });
-  } else if (runtime_) {
-    runtime_->install_hopcount(table);
-  } else {
-    engine_->install_hopcount(table);
-  }
-}
-
 void InFilterNode::train(std::span<const netflow::V5Record> normal_flows) {
   if (ingest_) {
     ingest_->quiesce([&] { runtime_->train(normal_flows); });
@@ -182,15 +172,22 @@ util::Result<std::size_t> InFilterNode::poll_once(int timeout_ms) {
   const auto& capture = collector_->capture();
   const auto& flows = capture.flows();
   std::size_t processed = 0;
-  for (; consumed_ < flows.size(); ++consumed_) {
-    const auto& flow = flows[consumed_];
-    if (runtime_) {
-      if (runtime_->submit(flow.record, flow.arrival_port, flow.record.last)) {
-        ++stats_.flows_processed;
-      } else {
-        ++stats_.dropped_flows;
-      }
-    } else {
+  if (runtime_) {
+    // The records stored by this poll are one run: submit it as one batch.
+    std::vector<runtime::FlowItem> items;
+    items.reserve(flows.size() - consumed_);
+    for (; consumed_ < flows.size(); ++consumed_) {
+      const auto& flow = flows[consumed_];
+      items.push_back(
+          runtime::FlowItem{flow.record, flow.arrival_port, flow.record.last});
+    }
+    const std::size_t accepted = runtime_->submit_batch(items);
+    stats_.flows_processed += accepted;
+    stats_.dropped_flows += items.size() - accepted;
+    processed = items.size();
+  } else {
+    for (; consumed_ < flows.size(); ++consumed_) {
+      const auto& flow = flows[consumed_];
       core::Verdict verdict;
       ++serial_seq_;
       if (poll_lane_ != nullptr && tracer_->enabled() &&
@@ -207,8 +204,8 @@ util::Result<std::size_t> InFilterNode::poll_once(int timeout_ms) {
       ++stats_.flows_processed;
       stats_.suspects += verdict.suspect ? 1 : 0;
       stats_.attacks_flagged += verdict.attack ? 1 : 0;
+      ++processed;
     }
-    ++processed;
   }
   if (poll_lane_ != nullptr && processed > 0) poll_lane_->heartbeat(processed);
   if (runtime_) refresh_runtime_stats();

@@ -101,8 +101,6 @@ class InFilterNode {
   /// Training-phase helpers (Figure 11). Fan out to every shard when the
   /// node is runtime-backed.
   void add_expected(core::IngressId ingress, const net::Prefix& prefix);
-  /// Preloads a learned hop-count table (TTL detection; src/hopcount).
-  void install_hopcount(const hopcount::HopCountTable& table);
   void train(std::span<const netflow::V5Record> normal_flows);
 
   /// Waits up to `timeout_ms` for export datagrams, analyzes (or, with
@@ -135,11 +133,6 @@ class InFilterNode {
   /// Worker shards processing flows; 0 = serial in-process analysis.
   [[nodiscard]] int threads() const { return runtime_ ? static_cast<int>(runtime_->shard_count()) : 0; }
 
-  /// The registry holding the node-level metrics: collector health, plus
-  /// (serial mode) the engine pipeline, or (runtime mode) the dispatcher
-  /// counters. The node-owned one unless NodeConfig::engine.registry was
-  /// set.
-  [[nodiscard]] obs::Registry& metrics_registry() { return *registry_ptr_; }
   /// Every metric of the node in one view; runtime-backed nodes merge the
   /// per-shard engine registries in (see ShardedRuntime::snapshot()).
   /// Runtime mode: call from the polling thread only, and flush() first

@@ -120,7 +120,8 @@ class TrainedClusters {
   /// engines (Section 6.3 builds the NNS structures once); these aggregate
   /// over every sharer, hence the atomics.
   struct IndexStats {
-    std::uint64_t assessments = 0;  ///< assess() calls
+    /// Queries: assess() calls plus assess_batch() records.
+    std::uint64_t assessments = 0;
     std::uint64_t no_neighbor = 0;  ///< queries that found no neighbor at all
   };
   [[nodiscard]] IndexStats stats() const {

@@ -145,198 +145,12 @@ void InFilterEngine::set_clusters(std::shared_ptr<const TrainedClusters> cluster
   clusters_ = std::move(clusters);
 }
 
-bool InFilterEngine::pre_process(const netflow::V5Record& record, IngressId ingress,
-                                 util::TimeMs now, Verdict& verdict,
-                                 SuspectFlow& suspect) {
-  metrics_.flows_total->inc();
-  const double start_us = obs::monotonic_us();
-  verdict = Verdict{};
-
-  // Figure 12, case (b): the ingress expects this source -- legal flow.
-  bool expected;
-  {
-    obs::StageTimer timer(metrics_.stage_eia_us);
-    expected = eia_.is_expected(ingress, record.src_ip, now);
-  }
-
-  // The source's home ingress (AS_IP(phi), a scan over every EIA set) is
-  // wanted twice on suspect paths -- TTL-witness selection and alert
-  // context -- but computed at most once per flow: lazily here, and the
-  // post-learn alert context is *derived* (see below) rather than
-  // re-scanned.
-  bool home_known = false;
-  std::optional<IngressId> home;
-  const auto home_ingress = [&] {
-    if (!home_known) {
-      home = eia_.expected_ingress(record.src_ip, now);
-      home_known = true;
-    }
-    return home;
-  };
-
-  // The TTL witness (src/hopcount). Flows the EIA sets vouch for are
-  // classified against -- and learned into -- the range at the observed
-  // ingress. An EIA-missing flow is classified (never learned: the
-  // anti-poisoning rule) against the range at the ingress that DOES expect
-  // its source: if honest traffic from that /24 established a path length
-  // at its home ingress and this flow's TTL contradicts it, the address is
-  // forged, not re-routed. Both keys share the flow's source /24, which
-  // the runtime shards by (runtime.cpp shard_of), so the lookup stays
-  // shard-local and the serial-equivalence argument covers it unchanged.
-  auto ttl = hopcount::TtlClass::kUnknown;
-  if (config_.use_hopcount) {
-    obs::StageTimer timer(metrics_.stage_hopcount_us);
-    const auto witness =
-        expected ? std::optional<IngressId>{ingress} : home_ingress();
-    if (witness.has_value()) {
-      ttl = hopcount_.analyze(*witness, record.src_ip, record.ttl, now, expected);
-    }
-    (ttl == hopcount::TtlClass::kConsistent ? metrics_.hopcount_consistent
-     : ttl == hopcount::TtlClass::kMiss     ? metrics_.hopcount_miss
-                                            : metrics_.hopcount_unknown)
-        ->inc();
-  }
-
-  if (expected) {
-    metrics_.eia_hits->inc();
-    if (ttl == hopcount::TtlClass::kMiss) {
-      // In-EIA spoof suspicion: the address is vouched for but the path
-      // length is wrong. One disagreeing witness makes a suspect,
-      // arbitrated by scan/NNS like any EIA miss.
-      verdict.suspect = true;
-      suspect = SuspectFlow{record, ingress, now, false, home_ingress(), ttl, true};
-      return true;
-    }
-    metrics_.verdict_legal->inc();
-    if (metrics_.process_us != nullptr) {
-      metrics_.process_us->observe(obs::monotonic_us() - start_us);
-    }
-    return false;
-  }
-  metrics_.eia_misses->inc();
-
-  // Case (a): possible attack. The auto-learning rule of Section 5.2 runs
-  // regardless of the final verdict: persistent traffic from a new source
-  // at this ingress eventually updates the EIA set (route change
-  // adaptation) -- and a flow that triggers learning is treated as the
-  // route change it signals, not as an attack.
-  verdict.suspect = true;
-  const std::optional<IngressId> pre_learn_home = home_ingress();
-  const bool learned = eia_.observe_mismatch(ingress, record.src_ip, now);
-  if (learned) metrics_.eia_learned->inc();
-  // The alert context is the post-learn first match, derived without a
-  // second scan: learning added exactly (ingress, src /24), so the first
-  // match becomes min(home, ingress) -- and an unchanged table keeps home.
-  // Exact on the exact backend (home == ingress is impossible on a miss);
-  // under Bloom aging a rotation inside the add could additionally erase
-  // an old match, which the documented probabilistic contract absorbs.
-  suspect = SuspectFlow{
-      record, ingress, now, learned,
-      learned ? std::optional<IngressId>{pre_learn_home.has_value() &&
-                                                 *pre_learn_home < ingress
-                                             ? *pre_learn_home
-                                             : ingress}
-              : pre_learn_home,
-      ttl, false};
-  return true;
-}
-
-Verdict InFilterEngine::finish_suspect(const SuspectFlow& suspect) {
-  obs::StageTimer process_timer(metrics_.process_us);
-  Verdict verdict;
-  verdict.suspect = true;
-
-  // Fused high-confidence path: both independent witnesses disagree with
-  // the learned state -- unexpected ingress AND wrong path length. The
-  // confirmation scan/NNS would provide is already here, so they are
-  // skipped (a learned flow keeps its route-change reading instead).
-  if (!suspect.eia_hit && suspect.ttl == hopcount::TtlClass::kMiss &&
-      !suspect.learned) {
-    verdict.attack = true;
-    verdict.stage = alert::DetectionStage::kHopCountFusion;
-    metrics_.verdict_attack_fused->inc();
-    if (sink_ != nullptr) {
-      emit_alert_with(suspect.record, suspect.ingress, suspect.now, verdict,
-                      suspect.expected);
-    }
-    return verdict;
-  }
-
-  if (config_.mode == EngineMode::kBasic) {
-    verdict.attack = !suspect.learned;
-    verdict.stage = alert::DetectionStage::kEiaMismatch;
-    (verdict.attack ? metrics_.verdict_attack_eia : metrics_.verdict_cleared_learned)
-        ->inc();
-    if (verdict.attack && sink_ != nullptr) {
-      emit_alert_with(suspect.record, suspect.ingress, suspect.now, verdict,
-                      suspect.expected);
-    }
-    return verdict;
-  }
-
-  // Enhanced InFilter: Scan Analysis sits between EIA and NNS.
-  if (config_.use_scan_analysis) {
-    ScanVerdict scan;
-    {
-      obs::StageTimer timer(metrics_.stage_scan_us);
-      scan = scan_.observe(suspect.record);
-    }
-    metrics_.scan_analyzed->inc();
-    if (scan != ScanVerdict::kClean) {
-      (scan == ScanVerdict::kNetworkScan ? metrics_.scan_network : metrics_.scan_host)
-          ->inc();
-      verdict.attack = true;
-      verdict.stage = alert::DetectionStage::kScanAnalysis;
-      metrics_.verdict_attack_scan->inc();
-      if (sink_ != nullptr) {
-        emit_alert_with(suspect.record, suspect.ingress, suspect.now, verdict,
-                        suspect.expected);
-      }
-      return verdict;
-    }
-  }
-
-  if (config_.use_nns && clusters_ != nullptr) {
-    {
-      obs::StageTimer timer(metrics_.stage_nns_us);
-      util::Rng flow_rng{flow_rng_seed(config_.seed, suspect.record)};
-      verdict.nns = clusters_->assess(suspect.record, flow_rng);
-    }
-    metrics_.nns_assessed->inc();
-    if (verdict.nns->anomalous) {
-      metrics_.nns_anomalous->inc();
-      verdict.attack = true;
-      verdict.stage = alert::DetectionStage::kNnsDistance;
-      metrics_.verdict_attack_nns->inc();
-      if (sink_ != nullptr) {
-        emit_alert_with(suspect.record, suspect.ingress, suspect.now, verdict,
-                        suspect.expected);
-      }
-    } else {
-      metrics_.nns_normal->inc();
-      metrics_.verdict_cleared_nns->inc();
-    }
-    return verdict;
-  }
-
-  // Enhanced mode with every second stage disabled degenerates to Basic.
-  verdict.attack = !suspect.learned;
-  verdict.stage = alert::DetectionStage::kEiaMismatch;
-  (verdict.attack ? metrics_.verdict_attack_eia : metrics_.verdict_cleared_learned)
-      ->inc();
-  if (verdict.attack && sink_ != nullptr) {
-    emit_alert_with(suspect.record, suspect.ingress, suspect.now, verdict,
-                    suspect.expected);
-  }
-  return verdict;
-}
-
 Verdict InFilterEngine::process(const netflow::V5Record& record, IngressId ingress,
                                 util::TimeMs now) {
+  const FlowInput flow{record, ingress, now};
   Verdict verdict;
-  SuspectFlow suspect;
-  if (!pre_process(record, ingress, now, verdict, suspect)) return verdict;
-  return finish_suspect(suspect);
+  process_batch(std::span<const FlowInput>(&flow, 1), std::span<Verdict>(&verdict, 1));
+  return verdict;
 }
 
 void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
@@ -348,26 +162,27 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
   const double batch_start_us = obs::monotonic_us();
   std::size_t legal = 0;
 
-  // The stateful EIA stage, flow by flow in batch order (auto-learning
-  // mutates the table exactly as the per-flow path would). A suspect's
-  // expected-ingress alert context is snapshotted *here*, at the point the
-  // per-flow path would read it, before later flows can update the EIA
-  // table.
+  // The stateful EIA stage, flow by flow in batch order: auto-learning
+  // mutates the table between flows. A suspect's expected-ingress alert
+  // context is snapshotted here, before later flows can update the table.
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto& [record, ingress, now] = flows[i];
     metrics_.flows_total->inc();
     Verdict& verdict = out[i];
     verdict = Verdict{};
 
+    // Figure 12, case (b): the ingress expects this source -- legal flow.
     bool expected;
     {
       obs::StageTimer timer(metrics_.stage_eia_us);
       expected = eia_.is_expected(ingress, record.src_ip, now);
     }
 
-    // Same single-scan rule as pre_process: the home ingress is computed
-    // lazily, at most once per flow, and the post-learn alert context is
-    // derived rather than re-scanned.
+    // The source's home ingress (AS_IP(phi), a scan over every EIA set) is
+    // wanted twice on suspect paths -- TTL-witness selection and alert
+    // context -- but computed at most once per flow: lazily here, and the
+    // post-learn alert context is *derived* (see below) rather than
+    // re-scanned.
     bool home_known = false;
     std::optional<IngressId> home;
     const auto home_ingress = [&] {
@@ -378,9 +193,16 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
       return home;
     };
 
-    // Same TTL-witness rule as pre_process: EIA-vouched flows learn at the
-    // observed ingress, EIA-missing flows are classified against their
-    // source's home-ingress range.
+    // The TTL witness (src/hopcount). Flows the EIA sets vouch for are
+    // classified against -- and learned into -- the range at the observed
+    // ingress. An EIA-missing flow is classified (never learned: the
+    // anti-poisoning rule) against the range at the ingress that DOES
+    // expect its source: if honest traffic from that /24 established a
+    // path length at its home ingress and this flow's TTL contradicts it,
+    // the address is forged, not re-routed. Both keys share the flow's
+    // source /24, which the runtime shards by (runtime.cpp shard_of), so
+    // the lookup stays shard-local and the serial-equivalence argument
+    // covers it unchanged.
     auto ttl = hopcount::TtlClass::kUnknown;
     if (config_.use_hopcount) {
       obs::StageTimer timer(metrics_.stage_hopcount_us);
@@ -399,6 +221,9 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     if (expected) {
       metrics_.eia_hits->inc();
       if (ttl == hopcount::TtlClass::kMiss) {
+        // In-EIA spoof suspicion: the address is vouched for but the path
+        // length is wrong. One disagreeing witness makes a suspect,
+        // arbitrated by scan/NNS like any EIA miss.
         verdict.suspect = true;
         suspects.push_back(
             SuspectFlow{record, ingress, now, false, home_ingress(), ttl, true});
@@ -411,12 +236,22 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     }
     metrics_.eia_misses->inc();
 
+    // Case (a): possible attack. The auto-learning rule of Section 5.2 runs
+    // regardless of the final verdict: persistent traffic from a new
+    // source at this ingress eventually updates the EIA set (route change
+    // adaptation) -- and a flow that triggers learning is treated as the
+    // route change it signals, not as an attack.
     verdict.suspect = true;
     const std::optional<IngressId> pre_learn_home = home_ingress();
     const bool learned = eia_.observe_mismatch(ingress, record.src_ip, now);
     if (learned) metrics_.eia_learned->inc();
-    // Post-learn context derived as in pre_process: min(home, ingress)
-    // when this flow learned, home otherwise.
+    // The alert context is the post-learn first match, derived without a
+    // second scan: learning added exactly (ingress, src /24), so the first
+    // match becomes min(home, ingress) -- and an unchanged table keeps
+    // home. Exact on the exact backend (home == ingress is impossible on a
+    // miss); under Bloom aging a rotation inside the add could additionally
+    // erase an old match, which the documented probabilistic contract
+    // absorbs.
     suspects.push_back(SuspectFlow{
         record, ingress, now, learned,
         learned ? std::optional<IngressId>{pre_learn_home.has_value() &&
@@ -450,11 +285,11 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   scratch.nns_records.clear();
   scratch.nns_rngs.clear();
 
-  // Pass 1 -- the stateful scan stage, suspect by suspect in span order
-  // (the shared buffer sees them exactly as the per-flow path would).
+  // Pass 1 -- the stateful scan stage, suspect by suspect in span order.
   // Suspects that reach the NNS stage are gathered for pass 2; alerts are
   // only recorded, not emitted, so the stream can be replayed in span
-  // order in pass 3.
+  // order in pass 3. Enhanced mode with every second stage disabled (or
+  // no trained clusters) degenerates to Basic after the scan stage.
   const bool degenerate_basic = config_.mode == EngineMode::kBasic ||
                                 !config_.use_nns || clusters_ == nullptr;
   for (std::size_t i = 0; i < suspects.size(); ++i) {
@@ -463,9 +298,11 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
     verdict = Verdict{};
     verdict.suspect = true;
 
-    // Fused high-confidence path, as in finish_suspect(): bypasses the
-    // scan buffer entirely, so the buffer sees exactly the suspects the
-    // per-flow path would show it.
+    // Fused high-confidence path: both independent witnesses disagree
+    // with the learned state -- unexpected ingress AND wrong path length.
+    // The confirmation scan/NNS would provide is already here, so they are
+    // skipped and the flow never enters the scan buffer (a learned flow
+    // keeps its route-change reading instead).
     if (!suspect.eia_hit && suspect.ttl == hopcount::TtlClass::kMiss &&
         !suspect.learned) {
       verdict.attack = true;
@@ -474,6 +311,7 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
       continue;
     }
 
+    // Enhanced InFilter: Scan Analysis sits between EIA and NNS.
     if (config_.mode != EngineMode::kBasic && config_.use_scan_analysis) {
       ScanVerdict scan;
       {
@@ -507,8 +345,8 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   }
 
   // Pass 2 -- the stateless NNS stage over the gathered suspects as one
-  // batch. The stage histogram records the batch-amortized per-flow cost
-  // so its sample count still matches the per-flow path's.
+  // batch. The stage histogram records the batch-amortized per-flow cost,
+  // one sample per assessed suspect.
   if (const std::size_t assessed = scratch.nns_ids.size(); assessed > 0) {
     if (scratch.nns_out.size() < assessed) scratch.nns_out.resize(assessed);
     const double nns_start_us = obs::monotonic_us();
@@ -540,9 +378,9 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
     }
   }
 
-  // Pass 3 -- alert emission in span order: ids and contents match the
-  // per-flow stream exactly (the expected-ingress context was snapshotted
-  // at EIA-check time).
+  // Pass 3 -- alert emission in span order, with the expected-ingress
+  // context snapshotted at EIA-check time: ids and contents do not depend
+  // on how the stream was cut into batches.
   if (sink_ != nullptr) {
     for (std::size_t i = 0; i < suspects.size(); ++i) {
       if (!out[i].attack) continue;

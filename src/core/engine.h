@@ -71,18 +71,21 @@ struct FlowInput {
 struct Verdict {
   bool attack = false;
   alert::DetectionStage stage = alert::DetectionStage::kEiaMismatch;
-  /// True when the EIA check failed (also true for every attack verdict).
+  /// True when the flow left the fast path for the post-EIA stages: an
+  /// EIA miss, or an in-EIA flow whose TTL missed its learned hop-count
+  /// range (also true for every attack verdict).
   bool suspect = false;
   /// NNS diagnostics, when the flow reached NNS analysis.
   std::optional<TrainedClusters::Assessment> nns;
 };
 
-/// A flow that failed the EIA check, detached from the engine that ran the
-/// check: everything the post-EIA stages (scan analysis, NNS, alert
-/// emission) need to finish the verdict. The sharded runtime forwards
-/// these from the per-shard EIA stages to one shared scan-stage engine
-/// (runtime/runtime.h), which is what keeps the destination-keyed suspect
-/// buffer global -- and scan verdicts serial-exact -- under sharding.
+/// A suspect flow (EIA miss or in-EIA TTL miss), detached from the engine
+/// that ran the EIA stage: everything the post-EIA stages (scan analysis,
+/// NNS, alert emission) need to finish the verdict. The sharded runtime
+/// forwards these from the per-shard EIA stages to one shared scan-stage
+/// engine (runtime/runtime.h), which is what keeps the destination-keyed
+/// suspect buffer global -- and scan verdicts serial-exact -- under
+/// sharding.
 struct SuspectFlow {
   netflow::V5Record record;
   IngressId ingress = 0;
@@ -129,60 +132,50 @@ class InFilterEngine {
   // -- Normal processing phase (Figure 12) --
 
   /// Processes one incoming flow observed at `ingress` at virtual time
-  /// `now`. Emits an IDMEF alert through the sink on attack verdicts.
+  /// `now`. Emits an IDMEF alert through the sink on attack verdicts. A
+  /// batch of one through process_batch(), so every stage has one
+  /// implementation.
   Verdict process(const netflow::V5Record& record, IngressId ingress,
                   util::TimeMs now);
 
-  /// Batched equivalent of process(): out[i] is bit-for-bit what
-  /// process(flows[i]...) returns, the stateful stages (EIA learning, scan
-  /// buffer) observe flows in batch order, alerts reach the sink in flow
-  /// order with the same ids and content, and every counter reaches the
-  /// same total. What batching buys: the NNS stage runs once over the
-  /// whole batch through TrainedClusters::assess_batch (contiguous probe
-  /// tables, pooled encodings -- zero per-flow allocations at steady
-  /// state). Latency histograms record batch-amortized per-flow values.
+  /// Processes `flows` in order: out[i] is flows[i]'s verdict, the stateful
+  /// stages (EIA learning, scan buffer) observe flows in batch order, and
+  /// alerts reach the sink in flow order. Verdicts, alert ids and content,
+  /// and counter totals do not depend on how a stream is cut into batches.
+  /// What batching buys: the NNS stage runs once over the whole batch
+  /// through TrainedClusters::assess_batch (contiguous probe tables, pooled
+  /// encodings -- zero per-flow allocations at steady state). Latency
+  /// histograms record batch-amortized per-flow values.
   /// Precondition: flows.size() == out.size().
   void process_batch(std::span<const FlowInput> flows, std::span<Verdict> out);
 
   // -- Split pipeline (the sharded runtime's shared scan stage) --
   //
-  // process() == pre_process() then, for suspects, finish_suspect() on the
-  // same engine. The split exists so the runtime can run the EIA stage on
-  // per-shard engines (state keyed by the shard hash) while one shared
-  // engine runs the destination-keyed stages for every shard's suspects in
-  // the one total dispatch order the runtime's sequence tags define --
-  // with one producer that is submission order; with several it is the
-  // realized claim order (runtime/runtime.h). The two halves divide the per-flow metrics
-  // between them: pre_process owns flows_total, the EIA stage counters and
-  // the legal-flow verdict/latency metrics; finish_suspect owns the
-  // scan/NNS stage counters, the suspect verdict/latency metrics and alert
-  // emission -- so a merged snapshot over both engines reaches exactly the
-  // serial engine's totals.
+  // process_batch() == pre_process_batch() then finish_suspect_batch() over
+  // its suspects, on the same engine. The runtime runs the first half on
+  // per-shard engines (state keyed by the shard hash) and the second on
+  // one shared engine, in the one total dispatch order its sequence tags
+  // define (runtime/runtime.h). The halves divide the per-flow metrics:
+  // pre_process_batch owns flows_total, the EIA and hop-count stage
+  // counters and the legal-flow verdict/latency metrics;
+  // finish_suspect_batch owns the scan/NNS stage counters, the suspect
+  // verdict/latency metrics and alert emission -- so a merged snapshot
+  // over both engines reaches exactly the serial engine's totals.
 
-  /// The EIA stage of process() alone: the membership check plus the
-  /// Section 5.2 auto-learning rule. Returns false for a legal flow
-  /// (`verdict` is final); returns true for a suspect (`verdict.suspect`
-  /// set, attack verdict undecided) and fills `suspect` for a
-  /// finish_suspect() call -- on this engine or another one.
-  bool pre_process(const netflow::V5Record& record, IngressId ingress,
-                   util::TimeMs now, Verdict& verdict, SuspectFlow& suspect);
-
-  /// The post-EIA stages of process() alone: scan analysis -> NNS ->
-  /// alert emission, against *this* engine's scan buffer, clusters and
-  /// sink.
-  Verdict finish_suspect(const SuspectFlow& suspect);
-
-  /// Batched pre_process: out[i] is final for legal flows; suspect flows
-  /// are appended to `suspects` (their batch positions to `positions`)
-  /// with out[i].suspect set, for a finish_suspect_batch() elsewhere.
-  /// Neither vector is cleared. Precondition: flows.size() == out.size().
+  /// The EIA stage: the membership check, the Section 5.2 auto-learning
+  /// rule and the TTL witness. out[i] is final for legal flows; suspect
+  /// flows are appended to `suspects` (their batch positions to
+  /// `positions`) with out[i].suspect set, for a finish_suspect_batch() on
+  /// this engine or another one. Neither vector is cleared.
+  /// Precondition: flows.size() == out.size().
   void pre_process_batch(std::span<const FlowInput> flows, std::span<Verdict> out,
                          std::vector<SuspectFlow>& suspects,
                          std::vector<std::uint32_t>& positions);
 
-  /// Batched finish_suspect: the stateful scan stage observes suspects in
-  /// span order, the NNS stage runs once over the whole batch, and alerts
-  /// are emitted in span order -- bit-for-bit the per-suspect results.
+  /// The post-EIA stages: scan analysis -> NNS -> alert emission, against
+  /// *this* engine's scan buffer, clusters and sink. The stateful scan
+  /// stage observes suspects in span order, the NNS stage runs once over
+  /// the whole batch, and alerts are emitted in span order.
   /// Precondition: suspects.size() == out.size().
   void finish_suspect_batch(std::span<const SuspectFlow> suspects,
                             std::span<Verdict> out);
@@ -238,9 +231,9 @@ class InFilterEngine {
 
  private:
   /// Alert construction with the expected-ingress context precomputed:
-  /// pre_process snapshots it at EIA-check time (before later flows mutate
-  /// the EIA table that produced it), so emission can happen arbitrarily
-  /// later -- or on another engine -- with the per-flow alert content
+  /// pre_process_batch snapshots it at EIA-check time (before later flows
+  /// mutate the EIA table that produced it), so emission can happen
+  /// arbitrarily later -- or on another engine -- with the alert content
   /// reproduced exactly. No sink, no alert: the verdict counters already
   /// account for the detection, and alert ids stay dense over *delivered*
   /// alerts. Precondition: sink_ != nullptr.

@@ -42,15 +42,6 @@ UdpSender::~UdpSender() {
 
 UdpSender::UdpSender(UdpSender&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
 
-UdpSender& UdpSender::operator=(UdpSender&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 util::Result<bool> UdpSender::send(std::uint16_t port,
                                    std::span<const std::uint8_t> datagram) {
   const auto address = loopback(port);
@@ -100,16 +91,6 @@ UdpReceiver::~UdpReceiver() {
 UdpReceiver::UdpReceiver(UdpReceiver&& other) noexcept
     : fd_(other.fd_), port_(other.port_) {
   other.fd_ = -1;
-}
-
-UdpReceiver& UdpReceiver::operator=(UdpReceiver&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    port_ = other.port_;
-    other.fd_ = -1;
-  }
-  return *this;
 }
 
 util::Result<ReceivedDatagram> UdpReceiver::receive_into(

@@ -29,7 +29,7 @@ class UdpSender {
   static util::Result<UdpSender> create();
   ~UdpSender();
   UdpSender(UdpSender&& other) noexcept;
-  UdpSender& operator=(UdpSender&& other) noexcept;
+  UdpSender& operator=(UdpSender&& other) = delete;
   UdpSender(const UdpSender&) = delete;
   UdpSender& operator=(const UdpSender&) = delete;
 
@@ -67,7 +67,7 @@ class UdpReceiver {
   static util::Result<UdpReceiver> bind(std::uint16_t port, int rcvbuf_bytes = 0);
   ~UdpReceiver();
   UdpReceiver(UdpReceiver&& other) noexcept;
-  UdpReceiver& operator=(UdpReceiver&& other) noexcept;
+  UdpReceiver& operator=(UdpReceiver&& other) = delete;
   UdpReceiver(const UdpReceiver&) = delete;
   UdpReceiver& operator=(const UdpReceiver&) = delete;
 

@@ -6,18 +6,6 @@
 
 namespace infilter::hopcount {
 
-const char* ttl_class_name(TtlClass c) {
-  switch (c) {
-    case TtlClass::kUnknown:
-      return "unknown";
-    case TtlClass::kConsistent:
-      return "consistent";
-    case TtlClass::kMiss:
-      return "miss";
-  }
-  return "?";
-}
-
 HopCountTable::HopCountTable(HopCountConfig config) : config_(config) {}
 
 std::uint64_t HopCountTable::key_of(IngressId ingress, net::IPv4Address source) {

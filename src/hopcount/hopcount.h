@@ -41,8 +41,6 @@ enum class TtlClass : std::uint8_t {
   kMiss,        ///< hop count outside the window: path-length mismatch
 };
 
-[[nodiscard]] const char* ttl_class_name(TtlClass c);
-
 /// The likely initial TTL for an observed value: the smallest of the
 /// common initial TTLs {32, 64, 128, 255} that is >= observed. 0 (no TTL
 /// recorded) maps to 0.

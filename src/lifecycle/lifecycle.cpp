@@ -2,20 +2,6 @@
 
 namespace infilter::lifecycle {
 
-const char* state_name(EntryState state) {
-  switch (state) {
-    case EntryState::kLearning:
-      return "learning";
-    case EntryState::kEstablished:
-      return "established";
-    case EntryState::kStale:
-      return "stale";
-    case EntryState::kExpired:
-      return "expired";
-  }
-  return "unknown";
-}
-
 EntryState idle_state(util::TimeMs last_seen, util::TimeMs now,
                       const LifecycleConfig& config) {
   if (idle_expired(last_seen, now, config.max_idle_ms)) return EntryState::kExpired;

@@ -60,8 +60,6 @@ enum class EntryState : std::uint8_t {
   kExpired,
 };
 
-[[nodiscard]] const char* state_name(EntryState state);
-
 /// The one idle-expiry predicate. `now` earlier than `last_seen` (exporter
 /// restart rebasing uptime, reordered batch tails) never expires.
 [[nodiscard]] inline bool idle_expired(util::TimeMs last_seen, util::TimeMs now,

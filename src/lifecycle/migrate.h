@@ -14,8 +14,7 @@
 //     replicated to every new engine. Learned /24s exist only on their
 //     old owner and preloads are replicated identically everywhere, so
 //     the union IS the serial set; entries for keys a new shard does not
-//     own are dead weight it never looks up (the same argument
-//     install_hopcount documents for hop-count preloads).
+//     own are dead weight it never looks up.
 //   * Bloom / counting-Bloom -- the bit space is bank-segmented by the
 //     same /24 hash (core/eia_backend.h), so each bank's segment -- and
 //     its rotation cursor -- is taken from the bank's old owner shard,
@@ -28,8 +27,8 @@
 //     owner hash: pending banks must hold exactly the serial contents,
 //     because bank-full decay depends on bank occupancy.
 //   * Hop-count ranges -- entries filtered by old owner on harvest (an
-//     install_hopcount preload is replicated, and only the owner's copy
-//     has evolved), then replicated to every new engine like a preload.
+//     earlier migration replicated them, and only the owner's copy has
+//     evolved since), then replicated to every new engine.
 //   * Scan buffers -- not handled here: the shared scan stage owns them
 //     on the persistent scan engine, which survives the resize untouched.
 

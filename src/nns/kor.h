@@ -111,7 +111,6 @@ class NnsIndex {
                             std::span<std::optional<NnsMatch>> out,
                             std::span<util::Rng> rngs,
                             NnsBatchScratch& scratch) const;
-  [[nodiscard]] virtual std::size_t training_size() const = 0;
 };
 
 /// The KOR structure (Figures 6 and 8).
@@ -128,8 +127,6 @@ class KorNns final : public NnsIndex {
                     std::span<std::optional<NnsMatch>> out,
                     std::span<util::Rng> rngs,
                     NnsBatchScratch& scratch) const override;
-  [[nodiscard]] std::size_t training_size() const override { return training_.size(); }
-
   [[nodiscard]] const BitVector& training_flow(int index) const {
     return training_[static_cast<std::size_t>(index)];
   }
@@ -183,7 +180,6 @@ class ExactNns final : public NnsIndex {
 
   [[nodiscard]] std::optional<NnsMatch> search(const BitVector& query,
                                                util::Rng& rng) const override;
-  [[nodiscard]] std::size_t training_size() const override { return training_.size(); }
 
  private:
   std::vector<BitVector> training_;

@@ -231,7 +231,7 @@ struct TracerConfig {
   /// 1 in `sample_every` records gets the full journey treatment
   /// (timestamps, span events, histogram observations). 1 = every record.
   std::uint64_t sample_every = 64;
-  /// Master switch; also settable at runtime (set_enabled()).
+  /// Master switch.
   bool enabled = false;
   /// Value metrics (event/drop counters, journey histograms) land here;
   /// null = a tracer-private registry. Pull gauges that call back into the
@@ -255,9 +255,6 @@ class Tracer {
   /// facility sits behind this check on hot paths.
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool enabled) noexcept {
-    enabled_.store(enabled, std::memory_order_relaxed);
   }
   /// Whether record `id` is on the sampled journey (enabled() callers
   /// check that first; this is pure arithmetic).

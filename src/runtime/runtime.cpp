@@ -57,7 +57,7 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
   if (config_.producers < 1) config_.producers = 1;
 
   submitted_ = &registry_->counter("infilter_runtime_submitted_total",
-                                   "Flows offered to a producer's submit*()");
+                                   "Flows offered to a producer's submit_batch()");
   dropped_ = &registry_->counter(
       "infilter_runtime_dropped_total",
       "Flows shed because a shard ring stayed full (kDrop policy)");
@@ -204,8 +204,8 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
     scan_engine_ = std::make_unique<core::InFilterEngine>(
         shard_engine_config(config_), sink != nullptr ? &sink_ : nullptr);
   }
-  // One lane per producer slot: submit* runs on the slot's owning thread
-  // (one thread at a time, per the contract). No queue probe -- a
+  // One lane per producer slot: submit_batch runs on the slot's owning
+  // thread (one thread at a time, per the contract). No queue probe -- a
   // producer's input is its caller, not a ring we can measure.
   if (tracer_ != nullptr) {
     for (std::size_t p = 0; p < producers_.size(); ++p) {
@@ -223,25 +223,13 @@ ShardedRuntime::~ShardedRuntime() { shutdown(); }
 
 void ShardedRuntime::add_expected(core::IngressId ingress,
                                   const net::Prefix& prefix) {
-  // The scan engine's EIA table stays empty on purpose: finish_suspect*
+  // The scan engine's EIA table stays empty on purpose: finish_suspect_batch
   // never consults it (the EIA outcome rides along in SuspectFlow).
   std::unique_lock gate(submit_gate_);
   // Drain in-flight flows first: the workers read the tables the loop
   // below mutates, and the gate only stops *new* submits.
   flush_locked();
   for (auto& shard : shards_) shard->engine->add_expected(ingress, prefix);
-}
-
-void ShardedRuntime::install_hopcount(const hopcount::HopCountTable& table) {
-  // Every shard gets the full table (like add_expected): a shard only
-  // ever classifies flows whose source /24 hashes to it, so the
-  // off-shard entries are dead weight, not a correctness hazard, and the
-  // per-shard state evolves exactly as the serial engine's does on that
-  // shard's key subset. The scan engine's table stays empty on purpose:
-  // the TTL classification rides along in SuspectFlow.
-  std::unique_lock gate(submit_gate_);
-  flush_locked();
-  for (auto& shard : shards_) shard->engine->install_hopcount(table);
 }
 
 void ShardedRuntime::set_clusters(
@@ -297,24 +285,6 @@ void ShardedRuntime::note_occupancy(Shard& shard) {
   }
 }
 
-bool ShardedRuntime::push_with_backpressure(Shard& shard,
-                                            SpscRing<FlowItem>& ring,
-                                            const FlowItem& item) {
-  if (ring.try_push(item)) return true;
-  if (config_.backpressure == BackpressurePolicy::kDrop) {
-    dropped_->inc();
-    return false;
-  }
-  backpressure_waits_->inc();
-  for (;;) {
-    // The ring is full, so the worker cannot be parked for long -- but it
-    // may have parked in the instant before our failed push; wake it.
-    wake(shard);
-    std::this_thread::sleep_for(kBackpressureNap);
-    if (ring.try_push(item)) return true;
-  }
-}
-
 std::size_t ShardedRuntime::push_batch_with_backpressure(
     Shard& shard, SpscRing<FlowItem>& ring, std::span<const FlowItem> items) {
   std::size_t accepted = 0;
@@ -332,47 +302,6 @@ std::size_t ShardedRuntime::push_batch_with_backpressure(
     std::this_thread::sleep_for(kBackpressureNap);
   }
   return accepted;
-}
-
-bool ShardedRuntime::submit(const netflow::V5Record& record,
-                            core::IngressId ingress, util::TimeMs now,
-                            std::uint64_t tag) {
-  submitted_->inc();
-  std::shared_lock gate(submit_gate_);
-  if (stopped_.load(std::memory_order_relaxed)) {
-    dropped_->inc();
-    return false;
-  }
-  ProducerSlot& slot = *producers_[0];
-  Shard& shard = *shards_[shard_of(record.src_ip, shards_.size())];
-  // Claim one tag. A kDrop shed burns it -- gaps are tolerated everywhere
-  // (the merges and the scan stage compare against watermarks, never for
-  // contiguity), so the publish below advances past the shed claim.
-  const std::uint64_t seq =
-      next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  FlowItem item{record, ingress, now, tag, seq};
-  if (slot.lane != nullptr) {
-    slot.lane->heartbeat();
-    // Direct submits have no socket-receive stamp; a sampled journey
-    // starts here, so its spans decompose dispatch-to-verdict. Sampling
-    // keys on the tag -- the id every span is emitted under -- so an
-    // upstream stage (an ingest receiver) that already screened this tag
-    // reached the same verdict and the journey is never double-started.
-    if (tracer_->enabled() && tracer_->sampled(item.tag)) {
-      item.recv_ns = item.hop_ns = obs::Tracer::now_ns();
-    }
-  }
-  const bool pushed = push_with_backpressure(shard, *shard.rings[0], item);
-  if (pushed) {
-    shard.enqueued.fetch_add(1, std::memory_order_relaxed);
-    slot.accepted.fetch_add(1, std::memory_order_relaxed);
-    note_occupancy(shard);
-  }
-  // Publish after the push (release): a merge that acquires this value and
-  // finds the ring empty has consumed everything <= it.
-  slot.published.store(seq, std::memory_order_release);
-  if (pushed) wake(shard);
-  return pushed;
 }
 
 std::size_t ShardedRuntime::submit_batch(std::span<const FlowItem> items,

@@ -61,9 +61,8 @@
 // the training-phase calls take the submit gate exclusively: they are
 // safe to call while producers are live -- submits briefly block, the
 // gate-holder advances every producer's published watermark (no claims
-// can be in flight), waits for quiescence, and releases. The legacy
-// single-argument submit*/flush/snapshot API is exactly the old
-// single-dispatcher usage: producer 0, no concurrency to guard. Alerts
+// can be in flight), waits for quiescence, and releases. A caller with a
+// single submitting thread uses producer 0, submit_batch's default. Alerts
 // funnel through one alert::SerializingSink, so any AlertSink works
 // unmodified; with the scan stage active only the scan engine emits
 // (legal flows never alert). Workers spin briefly when idle, then park on
@@ -80,8 +79,9 @@
 //
 // Backpressure: when a shard ring is full the producer either blocks
 // (kBlock: waits for the worker to drain, counting the waits) or sheds the
-// flow (kDrop: counts it and returns false). Both counters are runtime
-// metrics, exported alongside the merged per-shard engine metrics.
+// flows that do not fit (kDrop: counts them; submit_batch returns how many
+// it accepted). Both counters are runtime metrics, exported alongside the
+// merged per-shard engine metrics.
 
 #pragma once
 
@@ -115,7 +115,8 @@ struct RuntimeConfig {
   /// Producer slots. Each slot owns one SPSC ring per shard plus a
   /// published sequence watermark; each slot must be driven by at most one
   /// thread at a time. The live-ingest pipeline maps receiver thread i to
-  /// producer i; the legacy submit*/submit_batch(span) API is producer 0.
+  /// producer i; submit_batch(span) without a producer argument is
+  /// producer 0.
   int producers = 1;
   /// Per-(producer, shard) ring capacity (rounded up to a power of two).
   std::size_t queue_depth = 4096;
@@ -152,7 +153,7 @@ struct RuntimeConfig {
 
 /// Producer/worker accounting, all monotone over the runtime's life.
 struct RuntimeStats {
-  std::uint64_t submitted = 0;           ///< flows offered to submit*()
+  std::uint64_t submitted = 0;           ///< flows offered to submit_batch()
   std::uint64_t dispatched = 0;          ///< flows accepted into a ring
   std::uint64_t dropped = 0;             ///< flows shed under kDrop
   std::uint64_t backpressure_waits = 0;  ///< full-ring waits under kBlock
@@ -214,9 +215,6 @@ class ShardedRuntime {
 
   /// Preloads an EIA entry into every shard's table.
   void add_expected(core::IngressId ingress, const net::Prefix& prefix);
-  /// Installs a previously learned hop-count table into every shard
-  /// engine (each keeps the copy covering its own key subset).
-  void install_hopcount(const hopcount::HopCountTable& table);
   /// Installs one trained cluster set, shared (immutable) by all shards.
   void set_clusters(std::shared_ptr<const core::TrainedClusters> clusters);
   /// Trains once and shares the result across shards.
@@ -231,10 +229,6 @@ class ShardedRuntime {
   [[nodiscard]] static std::size_t shard_of(net::IPv4Address source,
                                             std::size_t shards);
 
-  /// Enqueues one flow via producer 0. Returns false only when the
-  /// backpressure policy is kDrop and the target ring stayed full.
-  bool submit(const netflow::V5Record& record, core::IngressId ingress,
-              util::TimeMs now, std::uint64_t tag = 0);
   /// Enqueues a batch through one producer slot, amortizing the tag claim
   /// and the per-ring synchronization: one fetch_add claims the whole tag
   /// range, items are bucketed per shard, and each bucket is pushed with
@@ -395,8 +389,6 @@ class ShardedRuntime {
     std::uint64_t watermark = 0;
   };
   MergeResult merge_batch(Shard& shard, FlowItem* batch, std::size_t max);
-  bool push_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
-                              const FlowItem& item);
   std::size_t push_batch_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
                                            std::span<const FlowItem> items);
   void note_occupancy(Shard& shard);

@@ -21,18 +21,6 @@ double SoakResult::min_detection_rate() const {
   return waves.empty() ? 0.0 : lo;
 }
 
-double SoakResult::max_false_positive_rate() const {
-  double hi = 0.0;
-  for (const SoakWave& wave : waves) hi = std::max(hi, wave.false_positive_rate);
-  return hi;
-}
-
-double SoakResult::max_benign_suspect_rate() const {
-  double hi = 0.0;
-  for (const SoakWave& wave : waves) hi = std::max(hi, wave.benign_suspect_rate);
-  return hi;
-}
-
 SoakResult run_soak(const SoakConfig& config) {
   assert(config.base.runtime_shards >= 1);
 
@@ -98,12 +86,9 @@ SoakResult run_soak(const SoakConfig& config) {
     // uptime (small again each wave), while the submitted arrival clock
     // advances by the accumulated offset. The lifecycle predicate keys on
     // the arrival clock, so rebasing never expires entries spuriously.
+    submit_stream(runtime, wave_stream, offset);
     util::TimeMs span = 0;
-    for (std::size_t i = 0; i < wave_stream.flows.size(); ++i) {
-      const auto& flow = wave_stream.flows[i];
-      const auto arrival =
-          offset + static_cast<util::TimeMs>(flow.record.last);
-      runtime.submit(flow.record, flow.arrival_port, arrival, i);
+    for (const auto& flow : wave_stream.flows) {
       span = std::max(span, static_cast<util::TimeMs>(flow.record.last));
     }
     runtime.flush();

@@ -76,8 +76,6 @@ struct SoakResult {
   obs::RegistrySnapshot metrics;
 
   [[nodiscard]] double min_detection_rate() const;
-  [[nodiscard]] double max_false_positive_rate() const;
-  [[nodiscard]] double max_benign_suspect_rate() const;
 };
 
 /// Runs the soak. Deterministic for a fixed config (wave seeds derive

@@ -12,6 +12,9 @@ namespace {
 /// "% of normal volume" knob into a generator intensity.
 constexpr double kBaselineAttackSetFlows = 637.0;
 
+/// Flows per process_batch / submit_batch call when replaying a stream.
+constexpr std::size_t kReplayBatch = 256;
+
 std::vector<net::SubBlock> all_used_blocks(const ExperimentConfig& config) {
   std::vector<net::SubBlock> blocks;
   blocks.reserve(static_cast<std::size_t>(config.sources * config.blocks_per_source));
@@ -328,6 +331,22 @@ ExperimentResult Scorer::finalize() {
   return result;
 }
 
+void submit_stream(runtime::ShardedRuntime& runtime, const TestbedStream& stream,
+                   util::TimeMs clock_offset) {
+  std::vector<runtime::FlowItem> batch;
+  batch.reserve(kReplayBatch);
+  for (std::size_t begin = 0; begin < stream.flows.size(); begin += kReplayBatch) {
+    const std::size_t end = std::min(begin + kReplayBatch, stream.flows.size());
+    batch.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& flow = stream.flows[i];
+      batch.push_back(runtime::FlowItem{flow.record, flow.arrival_port,
+                                        clock_offset + flow.record.last, i});
+    }
+    runtime.submit_batch(batch);
+  }
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 std::shared_ptr<const core::TrainedClusters> clusters) {
   TestbedStream stream = generate_stream(config);
@@ -365,10 +384,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       }
     }
     if (needs_clusters) runtime.set_clusters(clusters);
-    for (std::size_t i = 0; i < stream.flows.size(); ++i) {
-      const auto& flow = stream.flows[i];
-      runtime.submit(flow.record, flow.arrival_port, flow.record.last, i);
-    }
+    submit_stream(runtime, stream);
     runtime.flush();
     result = scorer.finalize();
     result.metrics = runtime.snapshot();
@@ -390,9 +406,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
   if (needs_clusters) engine.set_clusters(clusters);
 
-  // Replay through the batch hot path in fixed-size chunks (verdicts are
-  // bit-identical to per-flow process(); tests/test_batch.cpp pins this).
-  constexpr std::size_t kReplayBatch = 256;
+  // Replay in fixed-size batches (verdicts do not depend on the batch
+  // size; tests/test_batch.cpp pins this).
   std::vector<core::FlowInput> inputs(kReplayBatch);
   std::vector<core::Verdict> verdicts(kReplayBatch);
   for (std::size_t begin = 0; begin < stream.flows.size(); begin += kReplayBatch) {

@@ -238,6 +238,12 @@ class Scorer {
 [[nodiscard]] std::shared_ptr<const core::TrainedClusters> train_clusters(
     const ExperimentConfig& config);
 
+/// Replays `stream` into `runtime` in fixed-size submit_batch calls via
+/// producer 0, in stream order. Each FlowItem's tag is its stream index
+/// (the Scorer join key); its arrival time is record.last + clock_offset.
+void submit_stream(runtime::ShardedRuntime& runtime, const TestbedStream& stream,
+                   util::TimeMs clock_offset = 0);
+
 /// Runs one experiment. When `clusters` is null the run trains its own.
 [[nodiscard]] ExperimentResult run_experiment(
     const ExperimentConfig& config,

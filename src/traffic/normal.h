@@ -52,11 +52,6 @@ class NormalTrafficModel {
   [[nodiscard]] Trace generate(std::size_t flow_count, util::TimeMs origin,
                                util::Rng& rng) const;
 
-  /// The paper's seven protocol families, exposed for tests and benches.
-  [[nodiscard]] const std::vector<ProtocolProfile>& profiles() const {
-    return profiles_;
-  }
-
   /// Draws one flow from the mixture (without arrival-time assignment).
   [[nodiscard]] TraceFlow sample_flow(util::Rng& rng) const;
 

@@ -174,6 +174,115 @@ TEST_F(EnhancedEngineTest, HostScanFlaggedByScanAnalysis) {
   EXPECT_TRUE(scan_flagged);
 }
 
+// -- TTL hop-count fusion (src/hopcount) --
+//
+// Honest traffic arrives with TTL 57 (initial 64, 7 hops), so after
+// hopcount.learn_threshold (5) EIA-vouched flows a /24's window at its
+// home ingress is [5, 9] hops. A TTL of 44 (20 hops) misses that window.
+class TtlFusionTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint8_t kHonestTtl = 57;
+  static constexpr std::uint8_t kForgedTtl = 44;
+
+  static EngineConfig config(int eia_learn_threshold) {
+    EngineConfig c = enhanced_config();
+    c.use_hopcount = true;
+    c.eia.learn_threshold = eia_learn_threshold;
+    return c;
+  }
+
+  explicit TtlFusionTest(int eia_learn_threshold = 5)
+      : engine_(config(eia_learn_threshold), &sink_) {
+    engine_.add_expected(kAs1, *net::Prefix::parse("3.0.0.0/11"));
+    engine_.add_expected(kAs2, *net::Prefix::parse("3.32.0.0/11"));
+    engine_.train(normal_records(700, 3));
+  }
+
+  /// Establishes the hop-count range of `src`'s /24 at `home` (which must
+  /// expect `src`) from honest, EIA-vouched flows.
+  void establish(const char* src, IngressId home) {
+    for (int i = 0; i < 5; ++i) {
+      auto record = flow_from(ip(src));
+      record.ttl = kHonestTtl;
+      const auto verdict = engine_.process(record, home, 100 + i);
+      ASSERT_FALSE(verdict.suspect);
+    }
+    ASSERT_EQ(engine_.metrics().hopcount_miss->value(), 0u);
+  }
+
+  static netflow::V5Record forged(const char* src) {
+    auto record = flow_from(ip(src));
+    record.ttl = kForgedTtl;
+    return record;
+  }
+
+  alert::CollectingSink sink_;
+  InFilterEngine engine_;
+};
+
+TEST_F(TtlFusionTest, EiaMissPlusTtlMissIsFusedAttackSkippingScanAndNns) {
+  establish("3.40.0.1", kAs2);
+  // Source homed at AS2, arriving at AS1 with a path length AS2 never saw.
+  const auto verdict = engine_.process(forged("3.40.0.1"), kAs1, 1000);
+  EXPECT_TRUE(verdict.suspect);
+  EXPECT_TRUE(verdict.attack);
+  EXPECT_EQ(verdict.stage, alert::DetectionStage::kHopCountFusion);
+  EXPECT_FALSE(verdict.nns.has_value());
+  EXPECT_EQ(engine_.scan().stats().observed, 0u);
+  EXPECT_EQ(engine_.metrics().nns_assessed->value(), 0u);
+  EXPECT_EQ(engine_.metrics().verdict_attack_fused->value(), 1u);
+  ASSERT_EQ(sink_.alerts().size(), 1u);
+  const auto& alert = sink_.alerts().front();
+  EXPECT_EQ(alert.stage, alert::DetectionStage::kHopCountFusion);
+  EXPECT_EQ(alert.ingress_port, kAs1);
+  EXPECT_EQ(alert.expected_ingress, kAs2);  // the home ingress
+}
+
+class TtlFusionLearningTest : public TtlFusionTest {
+ protected:
+  TtlFusionLearningTest() : TtlFusionTest(/*eia_learn_threshold=*/3) {}
+};
+
+TEST_F(TtlFusionLearningTest, FlowThatTriggersLearningIsNotFused) {
+  establish("3.40.0.1", kAs2);
+  // The first two mismatches fuse; the third reaches the EIA learn
+  // threshold, keeps its route-change reading and goes on to scan/NNS.
+  for (int i = 0; i < 2; ++i) {
+    const auto verdict = engine_.process(forged("3.40.0.1"), kAs1, 1000 + i);
+    EXPECT_EQ(verdict.stage, alert::DetectionStage::kHopCountFusion);
+  }
+  const auto learned = engine_.process(forged("3.40.0.1"), kAs1, 1002);
+  EXPECT_EQ(engine_.metrics().eia_learned->value(), 1u);
+  EXPECT_TRUE(learned.suspect);
+  EXPECT_FALSE(learned.attack) << "normal-shaped flow should pass NNS";
+  EXPECT_NE(learned.stage, alert::DetectionStage::kHopCountFusion);
+  EXPECT_TRUE(learned.nns.has_value());
+  EXPECT_EQ(engine_.scan().stats().observed, 1u);
+  EXPECT_EQ(engine_.metrics().verdict_attack_fused->value(), 2u);
+}
+
+TEST_F(TtlFusionTest, EiaHitPlusTtlMissIsSuspectDecidedByScanAndNns) {
+  establish("3.0.0.1", kAs1);
+  // In-EIA spoof suspicion: vouched address, wrong path length. One
+  // witness only, so scan/NNS arbitrate: a normal-shaped flow is cleared.
+  const auto cleared = engine_.process(forged("3.0.0.1"), kAs1, 1000);
+  EXPECT_TRUE(cleared.suspect);
+  EXPECT_FALSE(cleared.attack);
+  EXPECT_TRUE(cleared.nns.has_value());
+  EXPECT_EQ(engine_.metrics().eia_misses->value(), 0u);
+
+  // A flood from the same /24 is flagged by NNS, not by fusion.
+  auto flood = flow_from(ip("3.0.0.2"), 7777, 17, 4000, 4000000, 2000);
+  flood.ttl = kForgedTtl;
+  const auto flagged = engine_.process(flood, kAs1, 1001);
+  EXPECT_TRUE(flagged.attack);
+  EXPECT_EQ(flagged.stage, alert::DetectionStage::kNnsDistance);
+  EXPECT_EQ(engine_.scan().stats().observed, 2u);
+  EXPECT_EQ(engine_.metrics().verdict_attack_fused->value(), 0u);
+  ASSERT_EQ(sink_.alerts().size(), 1u);
+  EXPECT_EQ(sink_.alerts().front().expected_ingress, kAs1);  // home == ingress
+}
+
 TEST(EnhancedEngine, ScanDisabledFallsThroughToNns) {
   EngineConfig config = enhanced_config();
   config.use_scan_analysis = false;

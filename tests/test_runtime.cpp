@@ -439,10 +439,9 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
         rt.add_expected(port, net::SubBlock{b}.prefix());
       }
     }
-    for (const auto& flow : stream.flows) {
-      ASSERT_TRUE(rt.submit(flow.record, flow.arrival_port, flow.record.last));
-    }
+    sim::submit_stream(rt, stream);
     rt.flush();
+    ASSERT_EQ(rt.stats().dispatched, stream.flows.size());
 
     ASSERT_NE(rt.scan_stage_engine(), nullptr);
     const auto& serial_scan = serial.scan().stats();
@@ -496,6 +495,11 @@ netflow::V5Record simple_flow(std::uint32_t salt) {
   return r;
 }
 
+/// Submits `item` alone, as a batch of one; true when it was accepted.
+bool submit_one(ShardedRuntime& rt, const FlowItem& item) {
+  return rt.submit_batch(std::span<const FlowItem>(&item, 1)) == 1;
+}
+
 // Mid-stream snapshots must not race worker engine state: runtime-level
 // metrics are always present, busy shards' engine registries are skipped,
 // and after flush() the merged view is complete. Run under
@@ -512,7 +516,7 @@ TEST(ShardedRuntime, LiveSnapshotSkipsBusyShardsAndIsCompleteAfterFlush) {
                     });
   constexpr std::uint32_t kFlows = 300;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    rt.submit(simple_flow(i), 9001, i);
+    submit_one(rt, {simple_flow(i), 9001, i});
     if (i % 50 == 0) {
       const auto live = rt.snapshot();
       EXPECT_GE(live.value("infilter_runtime_submitted_total"),
@@ -538,7 +542,7 @@ TEST(ShardedRuntime, ExternalRegistryOutlivesRuntimeWithoutDanglingPulls) {
     config.engine.mode = core::EngineMode::kBasic;
     config.registry = &registry;
     ShardedRuntime rt(config);
-    EXPECT_TRUE(rt.submit(simple_flow(1), 9001, 1));
+    EXPECT_TRUE(submit_one(rt, {simple_flow(1), 9001, 1}));
     rt.shutdown();
     // While alive, snapshot() still exposes the private pull gauges.
     EXPECT_DOUBLE_EQ(rt.snapshot().value("infilter_runtime_shards"), 2.0);
@@ -563,7 +567,7 @@ TEST(ShardedRuntime, DropPolicyShedsAndCountsWhenRingsStayFull) {
   constexpr std::uint64_t kFlows = 64;
   std::uint64_t accepted = 0;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    accepted += rt.submit(simple_flow(i), 9001, i) ? 1 : 0;
+    accepted += submit_one(rt, {simple_flow(i), 9001, i}) ? 1 : 0;
   }
   rt.flush();
   const auto stats = rt.stats();
@@ -584,7 +588,7 @@ TEST(ShardedRuntime, BlockPolicyLosesNothingThroughTinyRings) {
   ShardedRuntime rt(config);
   constexpr std::uint64_t kFlows = 2000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    EXPECT_TRUE(rt.submit(simple_flow(i), 9001, i));
+    EXPECT_TRUE(submit_one(rt, {simple_flow(i), 9001, i}));
   }
   rt.flush();
   const auto stats = rt.stats();
@@ -615,7 +619,7 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
   ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 3000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    ASSERT_TRUE(rt.submit(simple_flow(i), 9001, i));  // no EIA entries: all miss
+    ASSERT_TRUE(submit_one(rt, {simple_flow(i), 9001, i}));  // no EIA entries: all miss
   }
   rt.flush();
   const auto stats = rt.stats();
@@ -641,10 +645,10 @@ TEST(ShardedRuntime, ShutdownIsIdempotentAndRejectsLateSubmits) {
   config.shards = 2;
   config.engine.mode = core::EngineMode::kBasic;
   ShardedRuntime rt(config);
-  EXPECT_TRUE(rt.submit(simple_flow(1), 9001, 1));
+  EXPECT_TRUE(submit_one(rt, {simple_flow(1), 9001, 1}));
   rt.shutdown();
   rt.shutdown();
-  EXPECT_FALSE(rt.submit(simple_flow(2), 9001, 2));
+  EXPECT_FALSE(submit_one(rt, {simple_flow(2), 9001, 2}));
   const auto stats = rt.stats();
   EXPECT_EQ(stats.processed, 1u);
   EXPECT_EQ(stats.dropped, 1u);
@@ -939,7 +943,7 @@ TEST(ShardedRuntime, AlertsFromAllShardsArriveWithDenseIds) {
   ShardedRuntime rt(config, &ui);
   constexpr std::uint64_t kFlows = 500;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    rt.submit(simple_flow(i), 9001, i);
+    submit_one(rt, {simple_flow(i), 9001, i});
   }
   rt.shutdown();
   ASSERT_EQ(ui.alerts().size(), kFlows);

@@ -392,15 +392,27 @@ int main(int argc, char** argv) {
     suspects = rt_suspects.load(std::memory_order_relaxed);
     attacks = rt_attacks.load(std::memory_order_relaxed);
   } else if (rt) {
-    std::uint64_t tag = 0;  // journey id in the trace export
+    // Replay in fixed-size batches, tagging each flow with its 1-based
+    // index (the journey id in the trace export). A batch never straddles
+    // resize_at, so the resize lands after exactly that many flows.
+    constexpr std::size_t kSubmitBatch = 256;
     const std::size_t resize_at =
         resize_shards > 0 ? flows->size() / 2 : flows->size() + 1;
-    for (const auto& flow : *flows) {
-      if (tag == resize_at && rt->resize(resize_shards)) {
+    std::vector<runtime::FlowItem> batch;
+    for (std::size_t at = 0; at < flows->size();) {
+      if (at == resize_at && rt->resize(resize_shards)) {
         std::printf("resized runtime to %d shard(s) mid-replay\n",
                     resize_shards);
       }
-      rt->submit(flow.record, flow.arrival_port, flow.record.last, ++tag);
+      std::size_t end = std::min(at + kSubmitBatch, flows->size());
+      if (at < resize_at) end = std::min(end, resize_at);
+      batch.clear();
+      for (; at < end; ++at) {
+        const auto& flow = (*flows)[at];
+        batch.push_back(runtime::FlowItem{flow.record, flow.arrival_port,
+                                          flow.record.last, at + 1});
+      }
+      rt->submit_batch(batch);
     }
     // Drain and join: every counter and the merged snapshot become final.
     rt->shutdown();
