@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string_view>
 
@@ -31,6 +32,13 @@ struct ClassifyCase {
   std::uint16_t dst_port;
   Subcluster expected;
 };
+
+// Prints a case by its fields so the test name is the same on every run
+// (the default byte dump shows the struct's uninitialised padding).
+void PrintTo(const ClassifyCase& c, std::ostream* os) {
+  *os << "proto " << int{c.proto} << " port " << c.dst_port << " is "
+      << subcluster_name(c.expected);
+}
 
 class ClassifyTest : public ::testing::TestWithParam<ClassifyCase> {};
 

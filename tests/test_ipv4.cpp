@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 namespace infilter::net {
@@ -85,6 +86,12 @@ struct ContainsCase {
   const char* address;
   bool contained;
 };
+
+// Prints a case by its strings so the test name is the same on every run
+// (the default byte dump shows the pointers' addresses).
+void PrintTo(const ContainsCase& c, std::ostream* os) {
+  *os << c.prefix << (c.contained ? " has " : " lacks ") << c.address;
+}
 
 class PrefixContains : public ::testing::TestWithParam<ContainsCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 namespace infilter::net {
@@ -29,6 +30,12 @@ struct NotationCase {
   const char* notation;
   const char* prefix;
 };
+
+// Prints a case by its strings so the test name is the same on every run
+// (the default byte dump shows the pointers' addresses).
+void PrintTo(const NotationCase& c, std::ostream* os) {
+  *os << c.notation << " is " << c.prefix;
+}
 
 class SubBlockNotation : public ::testing::TestWithParam<NotationCase> {};
 
