@@ -173,13 +173,15 @@ util::Result<std::size_t> InFilterNode::poll_once(int timeout_ms) {
   const auto& flows = capture.flows();
   std::size_t processed = 0;
   if (runtime_) {
-    // The records stored by this poll are one run: submit it as one batch.
+    // The records stored by this poll are one run: submit it as one batch,
+    // each record tagged with its 1-based arrival index (its trace
+    // journey id, as in serial mode).
     std::vector<runtime::FlowItem> items;
     items.reserve(flows.size() - consumed_);
     for (; consumed_ < flows.size(); ++consumed_) {
       const auto& flow = flows[consumed_];
-      items.push_back(
-          runtime::FlowItem{flow.record, flow.arrival_port, flow.record.last});
+      items.push_back(runtime::FlowItem{flow.record, flow.arrival_port,
+                                        flow.record.last, ++record_seq_});
     }
     const std::size_t accepted = runtime_->submit_batch(items);
     stats_.flows_processed += accepted;
@@ -189,14 +191,14 @@ util::Result<std::size_t> InFilterNode::poll_once(int timeout_ms) {
     for (; consumed_ < flows.size(); ++consumed_) {
       const auto& flow = flows[consumed_];
       core::Verdict verdict;
-      ++serial_seq_;
+      ++record_seq_;
       if (poll_lane_ != nullptr && tracer_->enabled() &&
-          tracer_->sampled(serial_seq_)) {
+          tracer_->sampled(record_seq_)) {
         // Serial mode has no hand-offs: one span is the whole journey.
         const auto t0 = obs::Tracer::now_ns();
         verdict = engine_->process(flow.record, flow.arrival_port, flow.record.last);
         const auto t1 = obs::Tracer::now_ns();
-        poll_lane_->emit(obs::SpanKind::kSerial, t0, t1 - t0, serial_seq_);
+        poll_lane_->emit(obs::SpanKind::kSerial, t0, t1 - t0, record_seq_);
         tracer_->e2e_us->observe(static_cast<double>(t1 - t0) / 1000.0);
       } else {
         verdict = engine_->process(flow.record, flow.arrival_port, flow.record.last);

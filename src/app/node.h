@@ -168,10 +168,12 @@ class InFilterNode {
   /// Ingest mode: records already reported by previous polls.
   std::uint64_t ingest_consumed_ = 0;
   /// Flight recorder (NodeConfig::tracer; may be null) and, in serial
-  /// mode, the poll thread's lane plus its journey sampling counter.
+  /// mode, the poll thread's lane.
   obs::Tracer* tracer_ = nullptr;
   obs::ThreadLane* poll_lane_ = nullptr;
-  std::uint64_t serial_seq_ = 0;
+  /// Collector records analyzed so far: the journey id (serial mode) or
+  /// runtime tag (threads > 0) of the next record is record_seq_ + 1.
+  std::uint64_t record_seq_ = 0;
 };
 
 }  // namespace infilter::app

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/stage_timer.h"
@@ -23,6 +24,15 @@ std::uint64_t flow_rng_seed(std::uint64_t seed, const netflow::V5Record& r) {
   for (const std::uint64_t word : words) h = util::SplitMix64{h ^ word}.next();
   return h;
 }
+
+/// Publishes one batch-local tally: a single counter RMW per batch.
+void publish(obs::Counter* counter, std::uint64_t n) {
+  if (n != 0) counter->inc(n);
+}
+
+/// Advance of the stage-sampling phase per batch half. Odd, so successive
+/// batches walk the timed run through every offset of a sampling window.
+constexpr std::size_t kSamplePhaseStep = 37;
 
 }  // namespace
 
@@ -153,6 +163,12 @@ Verdict InFilterEngine::process(const netflow::V5Record& record, IngressId ingre
   return verdict;
 }
 
+std::size_t InFilterEngine::next_sample_phase() {
+  const std::size_t phase = sample_phase_;
+  sample_phase_ = (sample_phase_ + kSamplePhaseStep) % obs::StageSampler::kStride;
+  return phase;
+}
+
 void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
                                        std::span<Verdict> out,
                                        std::vector<SuspectFlow>& suspects,
@@ -160,21 +176,30 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
   assert(flows.size() == out.size());
   if (flows.empty()) return;
   const double batch_start_us = obs::monotonic_us();
-  std::size_t legal = 0;
+  // Every flow runs the EIA stage, and the hop-count stage when it is on:
+  // one sampler times both on the same flows.
+  const obs::StageSampler sampler(flows.size(), next_sample_phase());
+  // Batch-local tallies, published once after the loop.
+  std::uint64_t eia_hits = 0;
+  std::uint64_t eia_learned = 0;
+  std::uint64_t legal = 0;
+  std::uint64_t ttl_consistent = 0;
+  std::uint64_t ttl_miss = 0;
+  std::uint64_t ttl_unknown = 0;
 
   // The stateful EIA stage, flow by flow in batch order: auto-learning
   // mutates the table between flows. A suspect's expected-ingress alert
   // context is snapshotted here, before later flows can update the table.
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto& [record, ingress, now] = flows[i];
-    metrics_.flows_total->inc();
     Verdict& verdict = out[i];
     verdict = Verdict{};
+    const std::uint64_t weight = sampler.weight(i);  // 0: not timed
 
     // Figure 12, case (b): the ingress expects this source -- legal flow.
     bool expected;
     {
-      obs::StageTimer timer(metrics_.stage_eia_us);
+      obs::StageTimer timer(metrics_.stage_eia_us, weight);
       expected = eia_.is_expected(ingress, record.src_ip, now);
     }
 
@@ -205,21 +230,20 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     // covers it unchanged.
     auto ttl = hopcount::TtlClass::kUnknown;
     if (config_.use_hopcount) {
-      obs::StageTimer timer(metrics_.stage_hopcount_us);
+      obs::StageTimer timer(metrics_.stage_hopcount_us, weight);
       const auto witness =
           expected ? std::optional<IngressId>{ingress} : home_ingress();
       if (witness.has_value()) {
         ttl = hopcount_.analyze(*witness, record.src_ip, record.ttl, now,
                                 expected);
       }
-      (ttl == hopcount::TtlClass::kConsistent ? metrics_.hopcount_consistent
-       : ttl == hopcount::TtlClass::kMiss     ? metrics_.hopcount_miss
-                                              : metrics_.hopcount_unknown)
-          ->inc();
+      ++(ttl == hopcount::TtlClass::kConsistent ? ttl_consistent
+         : ttl == hopcount::TtlClass::kMiss     ? ttl_miss
+                                                : ttl_unknown);
     }
 
     if (expected) {
-      metrics_.eia_hits->inc();
+      ++eia_hits;
       if (ttl == hopcount::TtlClass::kMiss) {
         // In-EIA spoof suspicion: the address is vouched for but the path
         // length is wrong. One disagreeing witness makes a suspect,
@@ -230,11 +254,9 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
         positions.push_back(static_cast<std::uint32_t>(i));
         continue;
       }
-      metrics_.verdict_legal->inc();
       ++legal;
       continue;
     }
-    metrics_.eia_misses->inc();
 
     // Case (a): possible attack. The auto-learning rule of Section 5.2 runs
     // regardless of the final verdict: persistent traffic from a new
@@ -244,7 +266,7 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     verdict.suspect = true;
     const std::optional<IngressId> pre_learn_home = home_ingress();
     const bool learned = eia_.observe_mismatch(ingress, record.src_ip, now);
-    if (learned) metrics_.eia_learned->inc();
+    eia_learned += learned ? 1 : 0;
     // The alert context is the post-learn first match, derived without a
     // second scan: learning added exactly (ingress, src /24), so the first
     // match becomes min(home, ingress) -- and an unchanged table keeps
@@ -263,15 +285,22 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     positions.push_back(static_cast<std::uint32_t>(i));
   }
 
+  publish(metrics_.flows_total, flows.size());
+  publish(metrics_.eia_hits, eia_hits);
+  publish(metrics_.eia_misses, flows.size() - eia_hits);
+  publish(metrics_.eia_learned, eia_learned);
+  publish(metrics_.verdict_legal, legal);
+  publish(metrics_.hopcount_consistent, ttl_consistent);
+  publish(metrics_.hopcount_miss, ttl_miss);
+  publish(metrics_.hopcount_unknown, ttl_unknown);
+
   // Legal flows finish here, so their end-to-end latency sample is this
   // pass alone (batch-amortized); suspects get theirs from
   // finish_suspect_batch, keeping one process_us sample per flow overall.
-  if (metrics_.process_us != nullptr && legal > 0) {
-    const double per_flow_us = (obs::monotonic_us() - batch_start_us) /
-                               static_cast<double>(flows.size());
-    for (std::size_t i = 0; i < legal; ++i) {
-      metrics_.process_us->observe(per_flow_us);
-    }
+  if (legal > 0) {
+    metrics_.process_us->observe_n((obs::monotonic_us() - batch_start_us) /
+                                       static_cast<double>(flows.size()),
+                                   legal);
   }
 }
 
@@ -284,6 +313,32 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   scratch.nns_ids.clear();
   scratch.nns_records.clear();
   scratch.nns_rngs.clear();
+
+  // Fused high-confidence path: both independent witnesses disagree with
+  // the learned state -- unexpected ingress AND wrong path length. The
+  // confirmation scan/NNS would provide is already here, so they are
+  // skipped and the flow never enters the scan buffer (a learned flow
+  // keeps its route-change reading instead).
+  const auto fused = [](const SuspectFlow& suspect) {
+    return !suspect.eia_hit && suspect.ttl == hopcount::TtlClass::kMiss &&
+           !suspect.learned;
+  };
+  // Enhanced InFilter: Scan Analysis sits between EIA and NNS, for every
+  // suspect that is not fused.
+  const bool use_scan =
+      config_.mode != EngineMode::kBasic && config_.use_scan_analysis;
+  const obs::StageSampler scan_sampler(
+      use_scan ? suspects.size() -
+                     static_cast<std::size_t>(std::ranges::count_if(suspects, fused))
+               : 0,
+      next_sample_phase());
+  // Batch-local tallies, published once at the end of the batch.
+  std::uint64_t fused_total = 0;
+  std::uint64_t scanned = 0;
+  std::uint64_t scan_network = 0;
+  std::uint64_t scan_host = 0;
+  std::uint64_t attack_eia = 0;
+  std::uint64_t cleared_learned = 0;
 
   // Pass 1 -- the stateful scan stage, suspect by suspect in span order.
   // Suspects that reach the NNS stage are gathered for pass 2; alerts are
@@ -298,34 +353,24 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
     verdict = Verdict{};
     verdict.suspect = true;
 
-    // Fused high-confidence path: both independent witnesses disagree
-    // with the learned state -- unexpected ingress AND wrong path length.
-    // The confirmation scan/NNS would provide is already here, so they are
-    // skipped and the flow never enters the scan buffer (a learned flow
-    // keeps its route-change reading instead).
-    if (!suspect.eia_hit && suspect.ttl == hopcount::TtlClass::kMiss &&
-        !suspect.learned) {
+    if (fused(suspect)) {
       verdict.attack = true;
       verdict.stage = alert::DetectionStage::kHopCountFusion;
-      metrics_.verdict_attack_fused->inc();
+      ++fused_total;
       continue;
     }
 
-    // Enhanced InFilter: Scan Analysis sits between EIA and NNS.
-    if (config_.mode != EngineMode::kBasic && config_.use_scan_analysis) {
+    if (use_scan) {
       ScanVerdict scan;
       {
-        obs::StageTimer timer(metrics_.stage_scan_us);
+        obs::StageTimer timer(metrics_.stage_scan_us, scan_sampler.weight(scanned));
         scan = scan_.observe(suspect.record);
       }
-      metrics_.scan_analyzed->inc();
+      ++scanned;
       if (scan != ScanVerdict::kClean) {
-        (scan == ScanVerdict::kNetworkScan ? metrics_.scan_network
-                                           : metrics_.scan_host)
-            ->inc();
+        ++(scan == ScanVerdict::kNetworkScan ? scan_network : scan_host);
         verdict.attack = true;
         verdict.stage = alert::DetectionStage::kScanAnalysis;
-        metrics_.verdict_attack_scan->inc();
         continue;
       }
     }
@@ -333,9 +378,7 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
     if (degenerate_basic) {
       verdict.attack = !suspect.learned;
       verdict.stage = alert::DetectionStage::kEiaMismatch;
-      (verdict.attack ? metrics_.verdict_attack_eia
-                      : metrics_.verdict_cleared_learned)
-          ->inc();
+      ++(verdict.attack ? attack_eia : cleared_learned);
       continue;
     }
 
@@ -346,8 +389,10 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
 
   // Pass 2 -- the stateless NNS stage over the gathered suspects as one
   // batch. The stage histogram records the batch-amortized per-flow cost,
-  // one sample per assessed suspect.
-  if (const std::size_t assessed = scratch.nns_ids.size(); assessed > 0) {
+  // weighted by the number of assessed suspects.
+  const std::size_t assessed = scratch.nns_ids.size();
+  std::uint64_t anomalous = 0;
+  if (assessed > 0) {
     if (scratch.nns_out.size() < assessed) scratch.nns_out.resize(assessed);
     const double nns_start_us = obs::monotonic_us();
     clusters_->assess_batch(
@@ -355,25 +400,16 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
         std::span<util::Rng>(scratch.nns_rngs.data(), assessed),
         std::span<TrainedClusters::Assessment>(scratch.nns_out.data(), assessed),
         scratch.clusters);
-    if (metrics_.stage_nns_us != nullptr) {
-      const double per_flow_us =
-          (obs::monotonic_us() - nns_start_us) / static_cast<double>(assessed);
-      for (std::size_t j = 0; j < assessed; ++j) {
-        metrics_.stage_nns_us->observe(per_flow_us);
-      }
-    }
+    metrics_.stage_nns_us->observe_n(
+        (obs::monotonic_us() - nns_start_us) / static_cast<double>(assessed),
+        assessed);
     for (std::size_t j = 0; j < assessed; ++j) {
       Verdict& verdict = out[scratch.nns_ids[j]];
       verdict.nns = scratch.nns_out[j];
-      metrics_.nns_assessed->inc();
       if (verdict.nns->anomalous) {
-        metrics_.nns_anomalous->inc();
+        ++anomalous;
         verdict.attack = true;
         verdict.stage = alert::DetectionStage::kNnsDistance;
-        metrics_.verdict_attack_nns->inc();
-      } else {
-        metrics_.nns_normal->inc();
-        metrics_.verdict_cleared_nns->inc();
       }
     }
   }
@@ -389,13 +425,31 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
     }
   }
 
-  if (metrics_.process_us != nullptr) {
-    const double per_flow_us = (obs::monotonic_us() - batch_start_us) /
-                               static_cast<double>(suspects.size());
-    for (std::size_t i = 0; i < suspects.size(); ++i) {
-      metrics_.process_us->observe(per_flow_us);
-    }
+  publish(metrics_.verdict_attack_fused, fused_total);
+  publish(metrics_.scan_analyzed, scanned);
+  publish(metrics_.scan_network, scan_network);
+  publish(metrics_.scan_host, scan_host);
+  publish(metrics_.verdict_attack_scan, scan_network + scan_host);
+  publish(metrics_.verdict_attack_eia, attack_eia);
+  publish(metrics_.verdict_cleared_learned, cleared_learned);
+  publish(metrics_.nns_assessed, assessed);
+  publish(metrics_.nns_anomalous, anomalous);
+  publish(metrics_.nns_normal, assessed - anomalous);
+  publish(metrics_.verdict_attack_nns, anomalous);
+  publish(metrics_.verdict_cleared_nns, assessed - anomalous);
+  if (sink_ != nullptr) {
+    // Every attack verdict of the batch was delivered as one alert.
+    publish(metrics_.alerts_total,
+            fused_total + scan_network + scan_host + attack_eia + anomalous);
+    publish(metrics_.alerts_fused, fused_total);
+    publish(metrics_.alerts_scan, scan_network + scan_host);
+    publish(metrics_.alerts_eia, attack_eia);
+    publish(metrics_.alerts_nns, anomalous);
   }
+
+  metrics_.process_us->observe_n(
+      (obs::monotonic_us() - batch_start_us) / static_cast<double>(suspects.size()),
+      suspects.size());
 }
 
 void InFilterEngine::process_batch(std::span<const FlowInput> flows,
@@ -422,15 +476,6 @@ void InFilterEngine::emit_alert_with(const netflow::V5Record& record,
                                      IngressId ingress, util::TimeMs now,
                                      const Verdict& verdict,
                                      std::optional<IngressId> expected) {
-  metrics_.alerts_total->inc();
-  switch (verdict.stage) {
-    case alert::DetectionStage::kEiaMismatch: metrics_.alerts_eia->inc(); break;
-    case alert::DetectionStage::kScanAnalysis: metrics_.alerts_scan->inc(); break;
-    case alert::DetectionStage::kNnsDistance: metrics_.alerts_nns->inc(); break;
-    case alert::DetectionStage::kHopCountFusion:
-      metrics_.alerts_fused->inc();
-      break;
-  }
   alert::Alert a;
   a.id = ++next_alert_id_;
   a.create_time = now;

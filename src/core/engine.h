@@ -241,6 +241,8 @@ class InFilterEngine {
                        util::TimeMs now, const Verdict& verdict,
                        std::optional<IngressId> expected);
   void register_component_metrics();
+  /// The stage-sampling phase for the next batch half (obs::StageSampler).
+  std::size_t next_sample_phase();
 
   /// process_batch working memory: pools that grow to the high-water batch
   /// size, then stop allocating. The engine is driven by one thread (each
@@ -268,6 +270,7 @@ class InFilterEngine {
   obs::PipelineMetrics metrics_;
   std::uint64_t next_alert_id_ = 0;
   std::uint64_t eia_false_suspects_ = 0;  ///< note_ground_truth_benign_suspect()
+  std::size_t sample_phase_ = 0;          ///< next_sample_phase()
   BatchScratch batch_scratch_;
 };
 

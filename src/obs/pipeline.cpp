@@ -60,21 +60,21 @@ PipelineMetrics::PipelineMetrics(Registry& r)
                             "Delivered alerts raised by the NNS stage")),
       alerts_fused(&r.counter("infilter_alerts_fused_total",
                               "Delivered alerts raised by EIA + TTL fusion")),
-      stage_eia_us(&r.histogram("infilter_stage_eia_latency_us",
-                                default_latency_bounds_us(),
-                                "EIA lookup wall time per flow (us)")),
-      stage_hopcount_us(
-          &r.histogram("infilter_stage_hopcount_latency_us",
-                       default_latency_bounds_us(),
-                       "Hop-count classify/learn wall time per flow (us)")),
-      stage_scan_us(&r.histogram("infilter_stage_scan_latency_us",
-                                 default_latency_bounds_us(),
-                                 "Scan analysis wall time per suspect (us)")),
-      stage_nns_us(&r.histogram("infilter_stage_nns_latency_us",
-                                default_latency_bounds_us(),
-                                "NNS query wall time per suspect (us)")),
+      stage_eia_us(&r.histogram(
+          "infilter_stage_eia_latency_us", default_latency_bounds_us(),
+          "EIA lookup wall time per flow (us; 1 in 64 timed, weighted)")),
+      stage_hopcount_us(&r.histogram(
+          "infilter_stage_hopcount_latency_us", default_latency_bounds_us(),
+          "Hop-count classify/learn wall time per flow (us; 1 in 64 timed, "
+          "weighted)")),
+      stage_scan_us(&r.histogram(
+          "infilter_stage_scan_latency_us", default_latency_bounds_us(),
+          "Scan analysis wall time per suspect (us; 1 in 64 timed, weighted)")),
+      stage_nns_us(&r.histogram(
+          "infilter_stage_nns_latency_us", default_latency_bounds_us(),
+          "NNS query wall time per suspect (us; batch-amortized)")),
       process_us(&r.histogram("infilter_process_latency_us",
                               default_latency_bounds_us(),
-                              "Whole process() wall time per flow (us)")) {}
+                              "Detection wall time per flow (us; batch-amortized)")) {}
 
 }  // namespace infilter::obs

@@ -28,6 +28,26 @@
 //   * nns_assessed == nns_normal + nns_anomalous;
 //   * alerts_total == alerts_eia + alerts_scan + alerts_nns +
 //     alerts_fused == alerts delivered to the engine's sink.
+//
+// Update granularity -- the always-on metrics cost O(1) per batch, not per
+// flow (InFilterEngine::pre_process_batch / finish_suspect_batch):
+//   * Counters are tallied in batch-local integers and published with one
+//     inc(n) each at the end of the batch, so a concurrent scrape sees
+//     totals that advance a batch at a time. Between two process_batch()
+//     calls every invariant above holds; the sharded runtime's split
+//     halves publish separately, so suspects in flight between them are
+//     in flows_total before their verdict counters.
+//   * Stage histograms (eia, hopcount, scan) hold exact wall-time samples
+//     of 1 run in every obs::StageSampler::kStride (64) runs of the stage,
+//     each recorded with the weight of the runs it stands for, so their
+//     counts stay exact run counts: stage_eia count == flows_total,
+//     stage_hopcount count == flows_total with TTL detection on (0 off),
+//     stage_scan count == scan_analyzed. A batch of one (process()) times
+//     every run.
+//   * process_us and stage_nns hold batch-amortized samples: the batch's
+//     wall time divided evenly over its flows (process_us: legal flows on
+//     the EIA pass, suspects on the post-EIA pass) or its NNS queries, so
+//     process_us count == flows_total and stage_nns count == nns_assessed.
 
 #pragma once
 
@@ -43,8 +63,8 @@ namespace infilter::obs {
 /// resolve in the sub-microsecond ones.
 [[nodiscard]] std::vector<double> default_latency_bounds_us();
 
-/// Non-owning handles into a Registry; copyable. Pointers stay valid for
-/// the registry's lifetime.
+/// Non-owning handles into a Registry; copyable. Every handle is non-null
+/// and stays valid for the registry's lifetime.
 struct PipelineMetrics {
   explicit PipelineMetrics(Registry& registry);
 

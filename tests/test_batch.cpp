@@ -185,6 +185,77 @@ TEST(BatchGolden, MetricsTotalsMatchPerFlow) {
   }
 }
 
+/// Counters are published once per batch and stage histograms time 1 run
+/// in 64 with weighted samples, yet every histogram count still equals its
+/// flow count after every batch, and every counter total is the same at
+/// every batch size -- including the ragged ones around the sampling
+/// window (63, 64, 65).
+TEST(BatchGolden, MetricsReconcileAfterEveryBatchAtEveryBatchSize) {
+  for (const bool ttl : {false, true}) {
+    SCOPED_TRACE(ttl ? "ttl on" : "ttl off");
+    sim::ExperimentConfig config = workload_config();
+    config.ttl_scenario = ttl;
+    config.engine.use_hopcount = ttl;
+    const sim::TestbedStream stream = sim::generate_stream(config);
+    const auto clusters = sim::train_clusters(config);
+
+    std::optional<obs::RegistrySnapshot> reference;  // batches of one
+    for (const std::size_t batch_size :
+         {std::size_t{1}, std::size_t{7}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, std::size_t{256}, std::size_t{1000}}) {
+      SCOPED_TRACE(batch_size);
+      alert::CollectingSink sink;
+      InFilterEngine engine(workload_engine_config(config), &sink);
+      preload_eia(engine, config);
+      engine.set_clusters(clusters);
+      const obs::PipelineMetrics& m = engine.metrics();
+
+      std::vector<core::FlowInput> inputs(batch_size);
+      std::vector<core::Verdict> verdicts(batch_size);
+      for (std::size_t begin = 0; begin < stream.flows.size();
+           begin += batch_size) {
+        const std::size_t n = std::min(batch_size, stream.flows.size() - begin);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto& flow = stream.flows[begin + i];
+          inputs[i] =
+              core::FlowInput{flow.record, flow.arrival_port, flow.record.last};
+        }
+        engine.process_batch(std::span<const core::FlowInput>(inputs.data(), n),
+                             std::span<core::Verdict>(verdicts.data(), n));
+
+        const std::uint64_t flows = m.flows_total->value();
+        ASSERT_EQ(flows, begin + n);
+        ASSERT_EQ(m.stage_eia_us->count(), flows);
+        ASSERT_EQ(m.stage_hopcount_us->count(), ttl ? flows : 0u);
+        ASSERT_EQ(m.stage_scan_us->count(), m.scan_analyzed->value());
+        ASSERT_EQ(m.stage_nns_us->count(), m.nns_assessed->value());
+        ASSERT_EQ(m.process_us->count(), flows);
+        ASSERT_EQ(m.alerts_total->value(), sink.alerts().size());
+      }
+      if (ttl) {
+        EXPECT_GT(m.hopcount_miss->value(), 0u);
+      }
+      EXPECT_GT(m.scan_analyzed->value(), 0u);
+      EXPECT_GT(m.nns_assessed->value(), 0u);
+
+      auto snapshot = engine.registry().snapshot();
+      if (!reference.has_value()) {
+        reference = std::move(snapshot);
+        continue;
+      }
+      for (const auto& metric : reference->metrics) {
+        // Shared-clusters totals accumulate over every engine of the loop.
+        if (metric.kind != obs::MetricKind::kCounter ||
+            metric.name.starts_with("infilter_nns_index") ||
+            metric.name.starts_with("infilter_nns_no_neighbor")) {
+          continue;
+        }
+        EXPECT_EQ(snapshot.value(metric.name, -1.0), metric.value) << metric.name;
+      }
+    }
+  }
+}
+
 /// The sharded runtime now drives engines through process_batch; an odd
 /// max_batch exercises ragged dequeue batches. With scan analysis off the
 /// sharded pipeline is exactly serial-equivalent (runtime/runtime.h), so

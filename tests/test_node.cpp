@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "dagflow/dagflow.h"
+#include "obs/trace.h"
 #include "traffic/attacks.h"
 #include "traffic/normal.h"
 
@@ -152,6 +156,62 @@ TEST(InFilterNode, StatsAccumulateAcrossPolls) {
     }
   }
   EXPECT_EQ((*node)->stats().flows_processed, 120u);
+}
+
+// Collector mode on the runtime tags each record with its arrival index,
+// so trace sampling picks 1 record in sample_every, each journey under its
+// own id. Untagged (all-zero) records would all be sampled under id 0.
+TEST(InFilterNode, RuntimeCollectorJourneysHaveDistinctIds) {
+  obs::TracerConfig trace_config;
+  trace_config.sample_every = 4;
+  trace_config.enabled = true;
+  obs::Tracer tracer(trace_config);  // outlives the node, which emits into it
+
+  NodeConfig config = test_config({0});
+  config.threads = 1;
+  config.tracer = &tracer;
+  auto node = InFilterNode::create(config);
+  ASSERT_TRUE(node.has_value()) << node.error().message;
+  const auto ports = (*node)->ports();
+  preload_table3(**node, ports);
+
+  auto sender = flowtools::UdpSender::create();
+  ASSERT_TRUE(sender.has_value());
+  traffic::NormalTrafficModel model;
+  util::Rng rng{17};
+  const auto trace = model.generate(120, 0, rng);
+  dagflow::Dagflow source(
+      dagflow::DagflowConfig{.netflow_port = ports[0]},
+      dagflow::AddressPool::from_allocation(dagflow::make_allocation(10, 100, 0, 0)[0]),
+      18);
+  const auto labeled = source.replay(trace);
+  for (const auto& datagram : source.export_datagrams(labeled, 1000)) {
+    ASSERT_TRUE(sender->send(ports[0], datagram).has_value());
+  }
+  std::size_t processed = 0;
+  for (int i = 0; i < 100 && processed < labeled.size(); ++i) {
+    const auto result = (*node)->poll_once(20);
+    ASSERT_TRUE(result.has_value());
+    processed += *result;
+  }
+  ASSERT_EQ(processed, labeled.size());
+  (*node)->flush();
+
+  const auto snapshot = tracer.snapshot();
+  const auto* e2e = snapshot.histogram("infilter_e2e_latency_us");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count, processed / 4);  // tags 4, 8, ..., processed
+
+  const std::string json = tracer.chrome_trace_json();
+  std::set<std::uint64_t> ids;
+  const std::string key = "\"args\":{\"id\":";
+  for (auto at = json.find(key); at != std::string::npos; at = json.find(key, at)) {
+    at += key.size();
+    const std::uint64_t id = std::stoull(json.substr(at, 24));
+    EXPECT_EQ(id % 4, 0u) << "journey under an unsampled id";
+    ids.insert(id);
+  }
+  EXPECT_EQ(ids.size(), e2e->count);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -144,18 +146,79 @@ TEST(Registry, CallbackMetricsAreSampledAtSnapshotTime) {
   EXPECT_DOUBLE_EQ(snapshot.value("level"), 3.5);
 }
 
+TEST(Histogram, ObserveNMatchesNSingleObservations) {
+  obs::Histogram batched({1.0, 4.0, 16.0});
+  obs::Histogram single({1.0, 4.0, 16.0});
+  batched.observe_n(2.5, 0);  // no-op
+  EXPECT_EQ(batched.count(), 0u);
+  EXPECT_DOUBLE_EQ(batched.snapshot().sum, 0.0);
+
+  for (const auto& [value, n] : {std::pair{2.5, 7u}, std::pair{0.5, 3u},
+                                 std::pair{40.0, 2u}, std::pair{4.0, 1u}}) {
+    batched.observe_n(value, n);
+    for (unsigned i = 0; i < n; ++i) single.observe(value);
+  }
+  const auto a = batched.snapshot();
+  const auto b = single.snapshot();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.count, 13u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_DOUBLE_EQ(a.sum, b.sum);
+  for (const double q : {0.1, 0.5, 0.75, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q)) << q;
+  }
+}
+
 TEST(StageTimer, RecordsIntoHistogramOnceAndNullDisables) {
   obs::Histogram h({1e9});
   {
-    obs::StageTimer timer(&h);
+    obs::StageTimer timer(&h, 64);
     const double elapsed = timer.stop();
     EXPECT_GE(elapsed, 0.0);
     EXPECT_DOUBLE_EQ(timer.stop(), 0.0);  // idempotent
+    // One elapsed time, recorded as 64 observations of it.
+    EXPECT_EQ(h.count(), 64u);
+    EXPECT_DOUBLE_EQ(h.snapshot().sum, 64.0 * elapsed);
   }
-  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.count(), 64u);  // scope exit after stop() records nothing
+  {
+    obs::StageTimer timer(&h, 1);
+  }
+  EXPECT_EQ(h.count(), 65u);  // scope exit records when not stopped
 
-  obs::StageTimer disabled(nullptr);
+  obs::StageTimer disabled(nullptr, 64);
   EXPECT_DOUBLE_EQ(disabled.stop(), 0.0);
+  obs::StageTimer unsampled(&h, 0);  // a run the StageSampler skips
+  EXPECT_DOUBLE_EQ(unsampled.stop(), 0.0);
+  EXPECT_EQ(h.count(), 65u);
+}
+
+TEST(StageSampler, OneTimedRunPerWindowWeightsSumToRuns) {
+  for (const std::size_t runs : {1u, 2u, 7u, 63u, 64u, 65u, 128u, 200u, 1000u}) {
+    for (const std::size_t phase : {0u, 5u, 37u, 63u}) {
+      SCOPED_TRACE(::testing::Message() << "runs " << runs << " phase " << phase);
+      const obs::StageSampler sampler(runs, phase);
+      std::uint64_t weight_sum = 0;
+      std::size_t timed = 0;
+      for (std::size_t run = 0; run < runs; ++run) {
+        const std::uint64_t weight = sampler.weight(run);
+        if (weight == 0) continue;
+        ++timed;
+        weight_sum += weight;
+        // The timed run lies inside the window its weight covers.
+        const std::size_t window = run / obs::StageSampler::kStride;
+        EXPECT_EQ(weight, std::min(obs::StageSampler::kStride,
+                                   runs - window * obs::StageSampler::kStride));
+      }
+      EXPECT_EQ(weight_sum, runs);
+      EXPECT_EQ(timed, (runs + obs::StageSampler::kStride - 1) /
+                           obs::StageSampler::kStride);
+    }
+  }
+  // A batch of one is always timed; a full window is not pinned to its head.
+  EXPECT_EQ(obs::StageSampler(1, 37).weight(0), 1u);
+  EXPECT_EQ(obs::StageSampler(64, 37).weight(0), 0u);
+  EXPECT_EQ(obs::StageSampler(64, 37).weight(37), 64u);
 }
 
 TEST(PipelineMetrics, RegistersTheDocumentedSchema) {
