@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 
+#include "alert/idmef.h"
 #include "core/engine.h"
 #include "dagflow/dagflow.h"
 #include "obs/export.h"
@@ -159,6 +160,27 @@ void BM_eia_lookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_eia_lookup);
+
+// IDMEF serialization alone: the per-alert cost of Section 5.1.4's alert
+// stream, on an NNS-stage alert that writes every optional element.
+void BM_idmef_serialize(benchmark::State& state) {
+  alert::Alert a;
+  a.id = 19600;
+  a.create_time = 123456789;
+  a.stage = alert::DetectionStage::kNnsDistance;
+  a.source_ip = *net::IPv4Address::parse("203.0.113.254");
+  a.target_ip = *net::IPv4Address::parse("198.51.100.17");
+  a.target_port = 1434;
+  a.proto = 17;
+  a.ingress_port = 9001;
+  a.expected_ingress = 9004;
+  a.nns_distance = 155;
+  a.nns_threshold = 130;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.to_idmef_xml());
+  }
+}
+BENCHMARK(BM_idmef_serialize);
 
 // -- BENCH_latency.json: histogram-backed quantile measurement --
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -33,6 +34,11 @@ enum class DetectionStage : std::uint8_t {
 [[nodiscard]] std::string_view stage_name(DetectionStage stage);
 
 /// One attack notification.
+///
+/// A plain value: trivially copyable (about 64 bytes, no owned memory), so
+/// sinks copy it for free -- SerializingSink's renumbering copy included.
+/// The IDMEF Classification text is not stored; to_idmef_xml() derives it
+/// from `stage` as "spoofed traffic (<stage_name>)".
 struct Alert {
   std::uint64_t id = 0;
   util::TimeMs create_time = 0;
@@ -50,11 +56,12 @@ struct Alert {
   int nns_threshold = 0;
   /// Flow-observation-to-alert latency in (virtual) milliseconds.
   double detection_latency_ms = 0;
-  std::string classification;
 
-  /// Serializes to an IDMEF-draft-shaped XML document.
+  /// Serializes to an IDMEF-draft-shaped XML document. Appends straight
+  /// into one buffer reserved up front: one allocation per document.
   [[nodiscard]] std::string to_idmef_xml() const;
 };
+static_assert(std::is_trivially_copyable_v<Alert>);
 
 /// Consumer interface ("These could easily be used in a larger system").
 ///

@@ -33,6 +33,8 @@ namespace infilter::alert {
 /// Parses one IDMEF-Message document back into an Alert. Fails on missing
 /// mandatory elements (Alert id, CreateTime, Source/Target addresses) or
 /// malformed values.
+/// The Classification element is accepted and not read: its text is
+/// derived from the detection stage.
 [[nodiscard]] util::Result<Alert> parse_idmef(std::string_view xml);
 
 /// Splits a feed of concatenated IDMEF-Message documents and parses each.

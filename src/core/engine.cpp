@@ -493,8 +493,6 @@ void InFilterEngine::emit_alert_with(const netflow::V5Record& record,
     a.nns_threshold = verdict.nns->threshold;
   }
   a.detection_latency_ms = now >= record.last ? static_cast<double>(now - record.last) : 0.0;
-  a.classification = std::string{"spoofed traffic ("} +
-                     std::string{alert::stage_name(verdict.stage)} + ")";
   sink_->consume(a);
 }
 
