@@ -1,9 +1,10 @@
 // Throughput of the threaded ingest pipeline (src/ingest) against the
 // serial LiveCollector loop on the same exported datagram stream.
 //
-// The serial baseline is flowtools::LiveCollector the way app/node drives
-// it without --ingest-threads: one thread interleaving socket polling,
-// NetFlow v5 decode, and engine processing. The threaded runs put
+// The serial baseline is a flowtools::LiveCollector poll loop feeding one
+// engine: one thread interleaving socket polling, NetFlow v5 decode, and
+// engine processing. app/node runs the receiver-direct pipeline measured
+// against it. The threaded runs put
 // receiver thread(s) -- each decoding inline and dispatching directly
 // into the ShardedRuntime as its own producer (no decode-thread hop) --
 // on the same stream and report records/sec plus the pipeline's loss

@@ -14,7 +14,7 @@
 #                                #   short churn-soak harness tests
 #   scripts/check.sh --all       # tier-1 + asan + tsan + ubsan + soak
 #
-# The TSan lane runs the concurrency tests only (Runtime/Node/Ingest/Trace):
+# The TSan lane runs the concurrency tests only (Runtime/InFilterNode/Ingest/Trace):
 # the full suite under TSan takes far longer and the single-threaded
 # tests cannot race. --producers is the focused subset to iterate on when
 # touching the multi-producer dispatch path (a strict subset of --tsan's
@@ -62,7 +62,7 @@ if [[ "$run_tsan" == 1 ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime*:SpscRing*:SerializingSink*:Node*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
+    --gtest_filter='ShardedRuntime*:SpscRing*:SerializingSink*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
 fi
 
 if [[ "$run_producers" == 1 ]]; then

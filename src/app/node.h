@@ -2,23 +2,23 @@
 //
 // One object owning the whole receiving side of the architecture --
 // flow-capture sockets (one per Peer AS / BR collector port), the
-// Enhanced InFilter engine, the traceback aggregator and an alert sink --
-// driven by a poll loop. This is what an operator actually runs
-// (tools/infilter-monitor); the testbed and benches drive the same engine
+// Enhanced InFilter engine, the traceback aggregator and an alert sink.
+// There is one execution path: ingest receiver threads decode the export
+// datagrams and dispatch them into a ShardedRuntime, whose shard engines
+// analyze the flows. This is what an operator actually runs
+// (tools/infilter-monitor); the testbed and benches drive the same runtime
 // in-process instead.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/traceback.h"
-#include "flowtools/udp.h"
 #include "ingest/ingest.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
@@ -34,27 +34,20 @@ struct NodeConfig {
   core::TracebackConfig traceback;
 
   // -- Concurrent runtime (src/runtime) --
-  /// 0 analyzes flows inline on the polling thread (the paper's prototype
-  /// shape); N >= 1 dispatches them to a ShardedRuntime with N worker
-  /// shards. Verdict stats then trail the poll loop by whatever is still
+  /// Worker shards of the ShardedRuntime that analyzes every flow
+  /// (clamped to >= 1). Verdict stats trail reception by whatever is still
   /// in flight -- call flush() before reading them exactly.
-  int threads = 0;
-  /// Per-shard ring capacity when threads > 0.
+  int threads = 1;
+  /// Per-shard ring capacity.
   std::size_t queue_depth = 4096;
   runtime::BackpressurePolicy backpressure = runtime::BackpressurePolicy::kBlock;
 
-  // -- Threaded live ingest (src/ingest) --
-  /// 0 receives with the classic single-thread LiveCollector on the poll
-  /// loop; N >= 1 replaces it with an IngestPipeline: N receiver threads
-  /// recvmmsg-ing into pooled buffers, decoding inline, and dispatching
-  /// directly into the runtime -- receiver i is runtime producer i, no
-  /// intermediate decode/dispatcher thread. Implies runtime mode (threads
-  /// is clamped to >= 1). poll_once() then only reports progress --
-  /// reception never waits for the poll loop.
-  int ingest_threads = 0;
-  /// Retained for compatibility; receiver-direct ingest has no internal
-  /// queue for the policy to govern (see ingest::OverloadPolicy).
-  ingest::OverloadPolicy overload = ingest::OverloadPolicy::kBlock;
+  // -- Live ingest (src/ingest) --
+  /// Receiver threads of the IngestPipeline (clamped to [1, ports.size()]):
+  /// each recvmmsg()s into pooled buffers, decodes inline and dispatches
+  /// directly into the runtime -- receiver i is runtime producer i.
+  /// poll_once() only reports progress; reception never waits for it.
+  int ingest_threads = 1;
 
   // -- CPU placement (src/runtime/affinity.h) --
   /// Cpu ids for the pipeline's threads (--cpu-set): ingest receivers
@@ -65,20 +58,20 @@ struct NodeConfig {
   std::vector<int> affinity;
 
   // -- Flight recorder (src/obs/trace.h) --
-  /// Not owned; null = no tracing. Shared by the ingest pipeline, the
-  /// runtime, and (serial mode) the poll loop, so one tracer sees the
-  /// whole record journey. Must outlive the node.
+  /// Not owned; null = no tracing. Shared by the ingest pipeline and the
+  /// runtime, so one tracer sees the whole record journey. Must outlive
+  /// the node.
   obs::Tracer* tracer = nullptr;
 };
 
 /// Counters the monitor reports.
 struct NodeStats {
-  /// Serial mode: flows fully analyzed. Runtime mode: flows *accepted for
-  /// analysis* (dispatched to a shard ring, possibly still queued), while
-  /// suspects/attacks_flagged count completed flows -- so a live reading
-  /// can show fewer verdicts than flows. flush() reconciles them exactly.
+  /// Flows *accepted for analysis* (dispatched to a shard ring, possibly
+  /// still queued), while suspects/attacks_flagged count completed flows
+  /// -- so a live reading can show fewer verdicts than flows. flush()
+  /// reconciles them exactly.
   std::uint64_t flows_processed = 0;
-  /// Flows shed by a full shard ring (threads > 0 with kDrop only).
+  /// Flows shed by a full shard ring (kDrop only).
   std::uint64_t dropped_flows = 0;
   std::uint64_t suspects = 0;
   std::uint64_t attacks_flagged = 0;
@@ -89,91 +82,75 @@ struct NodeStats {
 
 class InFilterNode {
  public:
-  /// Binds the collector sockets. `alert_consumer` (optional, not owned)
-  /// receives every alert after traceback aggregation.
+  /// Binds the collector sockets and starts the receiver, shard and scan
+  /// threads. `alert_consumer` (optional, not owned) receives every alert
+  /// after traceback aggregation.
   static util::Result<std::unique_ptr<InFilterNode>> create(
       const NodeConfig& config, alert::AlertSink* alert_consumer = nullptr);
 
-  /// Stops the ingest pipeline before the runtime dies (the receiver
-  /// threads dispatch into it) and retires the node's trace lane.
-  ~InFilterNode();
+  /// Pipeline threads and callbacks hold the node's address.
+  InFilterNode(const InFilterNode&) = delete;
+  InFilterNode& operator=(const InFilterNode&) = delete;
 
-  /// Training-phase helpers (Figure 11). Fan out to every shard when the
-  /// node is runtime-backed.
+  /// Training-phase helpers (Figure 11). Fan out to every shard, with the
+  /// receivers parked so no flow is analyzed mid-update.
   void add_expected(core::IngressId ingress, const net::Prefix& prefix);
   void train(std::span<const netflow::V5Record> normal_flows);
 
-  /// Waits up to `timeout_ms` for export datagrams, analyzes (or, with
-  /// threads > 0, dispatches) every flow that arrived, and returns how
-  /// many flows were drained from the capture. Flow timestamps come from
-  /// the records (virtual time), so analysis is deterministic for a given
-  /// input stream. Ingest mode: reception and dispatch run on their own
-  /// threads, so this just sleeps the timeout and reports how many records
-  /// the pipeline dispatched since the previous poll.
+  /// Reception, decode and dispatch run on the pipeline's threads: this
+  /// sleeps `timeout_ms`, refreshes stats(), and returns how many records
+  /// the pipeline dispatched since the previous poll. Flow timestamps come
+  /// from the records (virtual time), so analysis is deterministic for a
+  /// given input stream.
   util::Result<std::size_t> poll_once(int timeout_ms);
 
-  /// Runtime-backed nodes: blocks until every dispatched flow has been
-  /// analyzed, making stats() and metrics() exact. Ingest mode drains the
-  /// receive pipeline first (two-phase: ingest drain, then runtime flush).
-  /// Serial nodes: no-op.
+  /// Blocks until every received flow has been analyzed, making stats()
+  /// and metrics() exact. Two-phase: ingest drain, then runtime flush.
   void flush();
 
-  /// Runtime-backed nodes: live-resizes the worker shard pool, migrating
-  /// per-shard engine state (see runtime::ShardedRuntime::resize). Safe
-  /// while ingest receivers are dispatching -- they stall on the submit
-  /// gate for the pause. Returns false on serial nodes or when the
-  /// runtime rejects the request.
+  /// Live-resizes the worker shard pool, migrating per-shard engine state
+  /// (see runtime::ShardedRuntime::resize). Safe while ingest receivers
+  /// are dispatching -- they stall on the submit gate for the pause.
+  /// Returns false when the runtime rejects the request.
   bool resize(int new_shards);
 
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] const core::TracebackEngine& traceback() const { return traceback_; }
-  [[nodiscard]] std::vector<std::uint16_t> ports() const {
-    return collector_ ? collector_->ports() : ingest_->ports();
-  }
-  /// Worker shards processing flows; 0 = serial in-process analysis.
-  [[nodiscard]] int threads() const { return runtime_ ? static_cast<int>(runtime_->shard_count()) : 0; }
+  [[nodiscard]] std::vector<std::uint16_t> ports() const { return ingest_->ports(); }
+  /// Worker shards processing flows.
+  [[nodiscard]] int threads() const { return static_cast<int>(runtime_->shard_count()); }
+  /// Ingest receiver threads (NodeConfig::ingest_threads after clamping).
+  [[nodiscard]] int receivers() const { return static_cast<int>(ingest_->receiver_count()); }
 
-  /// Every metric of the node in one view; runtime-backed nodes merge the
-  /// per-shard engine registries in (see ShardedRuntime::snapshot()).
-  /// Runtime mode: call from the polling thread only, and flush() first
-  /// for a complete view -- busy shards' engine registries are omitted.
+  /// Every metric of the node in one view: the runtime (with the
+  /// per-shard engine registries merged in), the ingest pipeline and the
+  /// tracer, taken with the receivers parked. Call from the polling thread
+  /// only, and flush() first for a complete view -- busy shards' engine
+  /// registries are omitted.
   [[nodiscard]] obs::RegistrySnapshot metrics() const;
 
  private:
-  InFilterNode(const NodeConfig& config,
-               std::unique_ptr<flowtools::LiveCollector> collector,
-               alert::AlertSink* alert_consumer);
+  InFilterNode(const NodeConfig& config, alert::AlertSink* alert_consumer);
 
-  void refresh_runtime_stats();
-  void refresh_ingest_stats();
+  void refresh_stats();
 
-  /// Exactly one of collector_ (classic poll-loop reception) and ingest_
-  /// (threaded reception, set in create() after the runtime exists) holds
-  /// the sockets.
-  std::unique_ptr<flowtools::LiveCollector> collector_;
-  std::unique_ptr<ingest::IngestPipeline> ingest_;
-  /// Declared before the engine/runtime: both register callbacks into it.
+  // Declaration order is teardown order, reversed: the receivers stop
+  // before the runtime they dispatch into, and the runtime joins its
+  // workers before the registry, traceback and verdict counters they
+  // write to go away.
   obs::Registry registry_;
   obs::Registry* registry_ptr_;  ///< user-supplied or &registry_
   core::TracebackEngine traceback_;
-  /// Exactly one of these two is set (engine_ when threads == 0).
-  std::unique_ptr<core::InFilterEngine> engine_;
-  std::unique_ptr<runtime::ShardedRuntime> runtime_;
-  NodeStats stats_;
   /// Verdict counts from the runtime's workers (hook side).
   std::atomic<std::uint64_t> hook_suspects_{0};
   std::atomic<std::uint64_t> hook_attacks_{0};
-  /// Flows already drained from the capture on previous polls.
-  std::size_t consumed_ = 0;
-  /// Ingest mode: records already reported by previous polls.
-  std::uint64_t ingest_consumed_ = 0;
-  /// Flight recorder (NodeConfig::tracer; may be null) and, in serial
-  /// mode, the poll thread's lane.
-  obs::Tracer* tracer_ = nullptr;
-  obs::ThreadLane* poll_lane_ = nullptr;
-  /// Collector records analyzed so far: the journey id (serial mode) or
-  /// runtime tag (threads > 0) of the next record is record_seq_ + 1.
-  std::uint64_t record_seq_ = 0;
+  obs::Tracer* tracer_ = nullptr;  ///< NodeConfig::tracer; may be null
+  std::unique_ptr<runtime::ShardedRuntime> runtime_;
+  /// Set in create() once the node is at its final address.
+  std::unique_ptr<ingest::IngestPipeline> ingest_;
+  NodeStats stats_;
+  /// Records already reported by previous polls.
+  std::uint64_t reported_ = 0;
 };
 
 }  // namespace infilter::app

@@ -34,10 +34,8 @@
 // by a kBlock runtime) backs traffic into the kernel socket queue, whose
 // drops stay visible through the SO_RXQ_OVFL readout
 // (infilter_ingest_kernel_drops_total). Downstream, a kDrop runtime
-// refuses records at submit_batch, counted as records_shed. The
-// OverloadPolicy knob is retained for configuration compatibility but
-// selects nothing anymore -- there is no internal queue left to govern --
-// and dropped_oldest stays at zero.
+// refuses records at submit_batch, counted as records_shed. There is no
+// internal queue to govern, so dropped_oldest stays at zero.
 //
 // Drain/shutdown is two-phase, mirroring ShardedRuntime::flush():
 //   phase 1  drain(): every datagram the receivers accepted is decoded
@@ -81,15 +79,6 @@
 
 namespace infilter::ingest {
 
-/// Retained for configuration compatibility. Receiver-direct dispatch has
-/// no internal queue, so the policy selects nothing: overload is governed
-/// by the kernel socket buffer upstream and the dispatcher's own
-/// backpressure policy downstream.
-enum class OverloadPolicy : std::uint8_t {
-  kBlock,       ///< (vestigial) lossless; kernel queue absorbs
-  kDropOldest,  ///< (vestigial) pair with a kDrop runtime to shed instead
-};
-
 struct IngestConfig {
   /// Collector UDP ports, one socket each (0 entries bind ephemeral
   /// ports; read the assignments from ports()).
@@ -118,7 +107,6 @@ struct IngestConfig {
   /// This is the only queue in front of the receivers -- all slack lives
   /// here.
   int socket_rcvbuf = 1 << 20;
-  OverloadPolicy overload = OverloadPolicy::kBlock;
   /// CPU placement (runtime/affinity.h): empty = unpinned. Receiver r
   /// pins to cpu_set[(cpu_slot_offset + r) % size].
   std::vector<int> cpu_set;

@@ -10,7 +10,7 @@ namespace {
 
 constexpr std::string_view kSpanNames[] = {
     "queue_ingest", "decode", "queue_shard", "eia",
-    "process",      "queue_scan", "scan_nns", "serial",
+    "process",      "queue_scan", "scan_nns",
 };
 
 constexpr std::string_view kStateNames[] = {"idle", "busy", "blocked", "stopped"};

@@ -72,7 +72,7 @@
 
 namespace infilter::obs {
 
-/// One hop of a sampled record's journey (or a whole serial process()).
+/// One hop of a sampled record's journey.
 /// Values are stable: they index kSpanNames and appear in trace exports.
 enum class SpanKind : std::uint8_t {
   kQueueIngest = 0,  ///< retired: receiver->decoder ring wait. Unused since
@@ -84,7 +84,6 @@ enum class SpanKind : std::uint8_t {
   kProcess,          ///< worker pop -> verdict (no shared scan stage)
   kQueueScan,        ///< suspect forward -> scan-stage release (reorder wait)
   kScanNns,          ///< scan release -> verdict (scan -> NNS -> alert)
-  kSerial,           ///< serial engine process(), no pipeline
 };
 
 [[nodiscard]] std::string_view span_name(SpanKind kind);
@@ -104,7 +103,7 @@ struct TraceEvent {
   std::uint64_t start_ns = 0;  ///< monotonic (steady_clock) start
   std::uint64_t dur_ns = 0;
   std::uint64_t id = 0;  ///< record journey id (the FlowItem tag)
-  SpanKind kind = SpanKind::kSerial;
+  SpanKind kind{};
 };
 
 /// Fixed-capacity SPSC ring of TraceEvents. Same wait-free head/tail
