@@ -178,7 +178,7 @@ std::string testbed_row_json(const char* mode, const sim::ExperimentResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"smoke"});
+  const auto parsed = util::Args::parse(argc, argv, {"smoke"}, {"out", "seed"});
   if (!parsed) {
     std::fprintf(stderr, "eia_scale: %s\n", parsed.error().message.c_str());
     return 1;

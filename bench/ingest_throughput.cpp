@@ -409,7 +409,9 @@ std::string occupancy_json(const Measurement& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"smoke"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"smoke"},
+      {"flows", "ingest-threads", "out", "threads", "trace-out"});
   if (!parsed) {
     std::fprintf(stderr, "ingest_throughput: %s\n", parsed.error().message.c_str());
     return 1;

@@ -53,7 +53,7 @@ std::string wave_doc(const char* mode, const sim::SoakWave& w) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"smoke"});
+  const auto parsed = util::Args::parse(argc, argv, {"smoke"}, {"out", "seed"});
   if (!parsed) {
     std::fprintf(stderr, "lifecycle_soak: %s\n", parsed.error().message.c_str());
     return 1;

@@ -346,7 +346,8 @@ void run_ablation_sections() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"smoke"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"smoke"}, {"batch", "flows", "out"});
   if (!parsed) {
     std::fprintf(stderr, "nns_ablation: %s\n", parsed.error().message.c_str());
     return 1;

@@ -389,7 +389,10 @@ std::vector<int> parse_thread_counts(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"smoke"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"smoke"},
+      {"churn", "flows", "out", "producers", "queue-depth", "source-dist",
+       "zipf-s"});
   if (!parsed) {
     std::fprintf(stderr, "throughput: %s\n", parsed.error().message.c_str());
     return 1;

@@ -54,7 +54,7 @@ void print_row(const char* label, const sim::ExperimentResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"smoke"});
+  const auto parsed = util::Args::parse(argc, argv, {"smoke"}, {"out", "seed"});
   if (!parsed) {
     std::fprintf(stderr, "ttl_detect: %s\n", parsed.error().message.c_str());
     return 1;

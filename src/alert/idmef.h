@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -36,7 +35,7 @@ enum class DetectionStage : std::uint8_t {
 /// One attack notification.
 ///
 /// A plain value: trivially copyable (about 64 bytes, no owned memory), so
-/// sinks copy it for free -- SerializingSink's renumbering copy included.
+/// sinks copy it for free.
 /// The IDMEF Classification text is not stored; to_idmef_xml() derives it
 /// from `stage` as "spoofed traffic (<stage_name>)".
 struct Alert {
@@ -65,14 +64,13 @@ static_assert(std::is_trivially_copyable_v<Alert>);
 
 /// Consumer interface ("These could easily be used in a larger system").
 ///
-/// Threading contract: consume() is invoked on whichever thread runs the
-/// detection -- the caller's thread for a serial InFilterEngine, a worker
-/// thread for the sharded runtime. Implementations are NOT required to be
-/// thread-safe: every engine in this repository promises to serialize its
-/// consume() calls (the serial engine trivially, the sharded runtime via
-/// SerializingSink, which also keeps alert ids dense across shards). A
-/// sink shared between *independently driven* engines must either be
-/// wrapped in SerializingSink by the owner or lock internally.
+/// Threading contract: consume() is invoked on the thread that runs the
+/// engine's post-EIA stages -- the caller's thread for a serial
+/// InFilterEngine, the one scan thread for the sharded runtime (shard
+/// engines carry no sink). Implementations are NOT required to be
+/// thread-safe: each engine calls consume() from one thread at a time, in
+/// dispatch order, with ids dense from 1. A sink shared between
+/// *independently driven* engines must lock internally.
 class AlertSink {
  public:
   virtual ~AlertSink() = default;
@@ -89,35 +87,6 @@ class CollectingSink final : public AlertSink {
 
  private:
   std::vector<Alert> alerts_;
-};
-
-/// Adapter that makes any sink safe to share across threads: consume()
-/// calls are serialized under a mutex and alert ids are renumbered into
-/// one dense global sequence (per-shard engines each number their own
-/// alerts from 1, so raw ids would collide across shards). The sharded
-/// runtime routes every shard's alerts through one of these.
-class SerializingSink final : public AlertSink {
- public:
-  /// `inner` is not owned and must outlive this adapter.
-  explicit SerializingSink(AlertSink* inner) : inner_(inner) {}
-
-  void consume(const Alert& alert) override {
-    if (inner_ == nullptr) return;
-    std::lock_guard lock(mutex_);
-    Alert renumbered = alert;
-    renumbered.id = ++next_id_;
-    inner_->consume(renumbered);
-  }
-
-  [[nodiscard]] std::uint64_t delivered() const {
-    std::lock_guard lock(mutex_);
-    return next_id_;
-  }
-
- private:
-  AlertSink* inner_;
-  mutable std::mutex mutex_;
-  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace infilter::alert

@@ -11,8 +11,9 @@ InFilterNode::InFilterNode(const NodeConfig& config, alert::AlertSink* alert_con
                                                       : &registry_),
       traceback_(config.traceback, alert_consumer),
       tracer_(config.tracer) {
-  // N shard engines do the work. The runtime serializes shard alerts, so
-  // the (single-threaded) traceback aggregator works unmodified.
+  // N shard engines run the EIA stage; the runtime's one scan thread
+  // completes suspects and emits every alert, so the (single-threaded)
+  // traceback aggregator works unmodified.
   runtime::RuntimeConfig runtime_config;
   runtime_config.shards = std::max(1, config.threads);
   runtime_config.queue_depth = config.queue_depth;
@@ -41,7 +42,7 @@ util::Result<std::unique_ptr<InFilterNode>> InFilterNode::create(
     const NodeConfig& config, alert::AlertSink* alert_consumer) {
   // The pipeline is attached once the node is at its final address: the
   // runtime's verdict hook and the metric callbacks point into it, and the
-  // shard engines hold a pointer to the traceback member.
+  // runtime's suspect engine holds a pointer to the traceback member.
   auto node = std::unique_ptr<InFilterNode>(new InFilterNode(config, alert_consumer));
   ingest::IngestConfig ingest_config;
   ingest_config.ports = config.ports;

@@ -29,8 +29,7 @@
 //     (receiver-direct dispatch), so there is no receiver->decoder queue
 //     hop -- the old `queue_ingest` span no longer occurs, and the ingest
 //     bench fails if one appears in an export. (Legal flows end at `eia`;
-//     runs without the shared scan stage replace eia.. with one `process`
-//     span; direct-submit callers start at `decode`'s end.) The same
+//     direct-submit callers start at `decode`'s end.) The same
 //     stamps feed always-on histograms -- infilter_e2e_latency_us and
 //     infilter_queue_wait_{shard,scan}_us -- so p50/p99/p999 queue-wait
 //     attribution is one scrape away even when nobody exports the event
@@ -81,7 +80,10 @@ enum class SpanKind : std::uint8_t {
   kDecode,           ///< socket receive -> dispatch entry (inline parse)
   kQueueShard,       ///< dispatch -> shard-worker pop (shard ring wait)
   kEia,              ///< worker pop -> EIA stage done (legal flows: verdict)
-  kProcess,          ///< worker pop -> verdict (no shared scan stage)
+  kProcess,          ///< retired: worker pop -> verdict, when shards ran the
+                     ///< whole pipeline. Unused since every engine mode
+                     ///< runs the shared scan stage; value kept for export
+                     ///< stability and old-trace readers.
   kQueueScan,        ///< suspect forward -> scan-stage release (reorder wait)
   kScanNns,          ///< scan release -> verdict (scan -> NNS -> alert)
 };

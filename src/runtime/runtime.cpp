@@ -45,10 +45,9 @@ obs::RegistrySnapshot history_only(const obs::RegistrySnapshot& snap) {
 ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
                                VerdictHook hook)
     : config_(std::move(config)),
-      sink_(sink),
-      engine_sink_(sink != nullptr),
       hook_(std::move(hook)),
       tracer_(config_.tracer),
+      scan_engine_(shard_engine_config(config_), sink),
       owned_registry_(std::make_unique<obs::Registry>()),
       registry_(config_.registry != nullptr ? config_.registry
                                             : owned_registry_.get()) {
@@ -177,33 +176,11 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
       [this] { return affinity_failures_.load(std::memory_order_relaxed); },
       "Thread-pinning attempts the kernel refused (placement is a hint)");
 
-  const bool scan_stage = config_.engine.mode == core::EngineMode::kEnhanced &&
-                          config_.engine.use_scan_analysis;
   producers_.reserve(static_cast<std::size_t>(config_.producers));
   for (int p = 0; p < config_.producers; ++p) {
     producers_.push_back(std::make_unique<ProducerSlot>());
   }
-  shards_.reserve(static_cast<std::size_t>(config_.shards));
-  for (int s = 0; s < config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = s;
-    shard->rings.reserve(producers_.size());
-    for (std::size_t p = 0; p < producers_.size(); ++p) {
-      shard->rings.push_back(
-          std::make_unique<SpscRing<FlowItem>>(config_.queue_depth));
-    }
-    shard->engine = std::make_unique<core::InFilterEngine>(
-        shard_engine_config(config_), sink != nullptr ? &sink_ : nullptr);
-    if (scan_stage) {
-      shard->suspect_ring =
-          std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
-    }
-    shards_.push_back(std::move(shard));
-  }
-  if (scan_stage) {
-    scan_engine_ = std::make_unique<core::InFilterEngine>(
-        shard_engine_config(config_), sink != nullptr ? &sink_ : nullptr);
-  }
+  build_shards(config_.shards, 0);
   // One lane per producer slot: submit_batch runs on the slot's owning
   // thread (one thread at a time, per the contract). No queue probe -- a
   // producer's input is its caller, not a ring we can measure.
@@ -221,6 +198,28 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
 
 ShardedRuntime::~ShardedRuntime() { shutdown(); }
 
+void ShardedRuntime::build_shards(int count, std::uint64_t watermark) {
+  config_.shards = count;
+  shards_.clear();
+  shards_.reserve(static_cast<std::size_t>(count));
+  for (int s = 0; s < count; ++s) {
+    auto shard = std::make_unique<Shard>();
+    shard->index = s;
+    shard->rings.reserve(producers_.size());
+    for (std::size_t p = 0; p < producers_.size(); ++p) {
+      shard->rings.push_back(
+          std::make_unique<SpscRing<FlowItem>>(config_.queue_depth));
+    }
+    // The EIA half only: alerts and the NNS stage belong to scan_engine_.
+    shard->engine =
+        std::make_unique<core::InFilterEngine>(shard_engine_config(config_));
+    shard->suspect_ring =
+        std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
+    shard->watermark.store(watermark, std::memory_order_relaxed);
+    shards_.push_back(std::move(shard));
+  }
+}
+
 void ShardedRuntime::add_expected(core::IngressId ingress,
                                   const net::Prefix& prefix) {
   // The scan engine's EIA table stays empty on purpose: finish_suspect_batch
@@ -236,15 +235,12 @@ void ShardedRuntime::set_clusters(
     std::shared_ptr<const core::TrainedClusters> clusters) {
   std::unique_lock gate(submit_gate_);
   flush_locked();
-  for (auto& shard : shards_) shard->engine->set_clusters(clusters);
-  // With the scan stage active the NNS stage runs there, not on shards.
-  if (scan_engine_ != nullptr) scan_engine_->set_clusters(std::move(clusters));
+  scan_engine_.set_clusters(std::move(clusters));
 }
 
 void ShardedRuntime::train(std::span<const netflow::V5Record> normal_flows) {
-  // Train once, share everywhere -- the paper builds the NNS structures
-  // once "prior to the experiment runs"; N shards retraining N times would
-  // multiply the most expensive setup step for identical results.
+  // Train once -- the paper builds the NNS structures once "prior to the
+  // experiment runs" -- for the one engine that runs the NNS stage.
   set_clusters(std::make_shared<const core::TrainedClusters>(
       normal_flows, config_.engine.cluster, config_.engine.seed));
 }
@@ -500,7 +496,6 @@ void ShardedRuntime::worker_main(Shard& shard) {
       affinity_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  const bool scan_stage = shard.suspect_ring != nullptr;
   // The worker's flight-recorder lane: heartbeat + state are always
   // published (one relaxed store per batch); span emission sits behind the
   // tracer_->enabled() branch. The queue probe captures the raw shard,
@@ -531,7 +526,7 @@ void ShardedRuntime::worker_main(Shard& shard) {
       // Nothing mergeable, but the frontier may still move (idle
       // producers publishing forward): keep the scan stage's reorder
       // window fed.
-      if (scan_stage) advance_watermark(merged.watermark);
+      advance_watermark(merged.watermark);
       if (stopping_.load(std::memory_order_acquire) && shard.queued() == 0) break;
       if (lane != nullptr) lane->set_state(obs::ThreadState::kIdle);
       // Spin briefly (a producer may be mid-refill), then park. The
@@ -581,29 +576,6 @@ void ShardedRuntime::worker_main(Shard& shard) {
     }
     for (std::size_t i = 0; i < n; ++i) {
       inputs[i] = core::FlowInput{batch[i].record, batch[i].ingress, batch[i].now};
-    }
-
-    if (!scan_stage) {
-      // Whole pipeline per shard: exact without a shared stage (kBasic is
-      // EIA-only; with scan analysis off, EIA and NNS shard exactly).
-      shard.engine->process_batch(
-          std::span<const core::FlowInput>(inputs.data(), n),
-          std::span<core::Verdict>(verdicts.data(), n));
-      if (sampled_any) {
-        const std::uint64_t t_done = obs::Tracer::now_ns();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (batch[i].recv_ns == 0) continue;
-          lane->emit(obs::SpanKind::kProcess, batch[i].hop_ns,
-                     t_done - batch[i].hop_ns, batch[i].tag);
-          tracer_->e2e_us->observe(
-              static_cast<double>(t_done - batch[i].recv_ns) / 1000.0);
-        }
-      }
-      if (hook_) {
-        for (std::size_t i = 0; i < n; ++i) hook_(batch[i], verdicts[i]);
-      }
-      shard.processed.fetch_add(n, std::memory_order_release);
-      continue;
     }
 
     // EIA stage only; suspects go to the scan stage with their dispatch
@@ -744,7 +716,7 @@ void ShardedRuntime::scan_main() {
         }
       }
       if (verdicts.size() < suspects.size()) verdicts.resize(suspects.size());
-      scan_engine_->finish_suspect_batch(
+      scan_engine_.finish_suspect_batch(
           suspects, std::span<core::Verdict>(verdicts.data(), suspects.size()));
       if (sampled_any) {
         const std::uint64_t t_fin = obs::Tracer::now_ns();
@@ -811,7 +783,6 @@ void ShardedRuntime::flush_locked() {
       std::this_thread::sleep_for(kBackpressureNap);
     }
   }
-  if (scan_engine_ == nullptr) return;
   // Phase 2: the scan stage completes every forwarded suspect. Progress
   // needs no help beyond waking the scan thread: parked idle workers
   // re-advance their watermarks at least once per ~1 ms park cycle, which
@@ -855,9 +826,7 @@ void ShardedRuntime::start_threads_locked() {
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, raw = shard.get()] { worker_main(*raw); });
   }
-  if (scan_engine_ != nullptr) {
-    scan_thread_ = std::thread([this] { scan_main(); });
-  }
+  scan_thread_ = std::thread([this] { scan_main(); });
 }
 
 void ShardedRuntime::shutdown() {
@@ -904,30 +873,10 @@ bool ShardedRuntime::resize(int new_shards) {
   // Rebuild the shard map. New watermarks start at the claim frontier:
   // every tag at or below it is fully processed, so the scan stage's
   // reorder window never waits on pre-resize history.
-  const std::uint64_t frontier = next_seq_.load(std::memory_order_relaxed);
-  const bool scan_stage = scan_engine_ != nullptr;
-  config_.shards = new_shards;
-  shards_.clear();
-  shards_.reserve(static_cast<std::size_t>(new_shards));
-  for (int s = 0; s < new_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = s;
-    shard->rings.reserve(producers_.size());
-    for (std::size_t p = 0; p < producers_.size(); ++p) {
-      shard->rings.push_back(
-          std::make_unique<SpscRing<FlowItem>>(config_.queue_depth));
-    }
-    shard->engine = std::make_unique<core::InFilterEngine>(
-        shard_engine_config(config_), engine_sink_ ? &sink_ : nullptr);
-    if (scan_stage) {
-      shard->suspect_ring =
-          std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
-    }
-    shard->watermark.store(frontier, std::memory_order_relaxed);
-    lifecycle::install_engine_state(harvest, *shard->engine,
-                                    static_cast<std::size_t>(s),
-                                    static_cast<std::size_t>(new_shards));
-    shards_.push_back(std::move(shard));
+  build_shards(new_shards, next_seq_.load(std::memory_order_relaxed));
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    lifecycle::install_engine_state(harvest, *shards_[s]->engine, s,
+                                    shards_.size());
   }
   start_threads_locked();
 
@@ -1019,10 +968,10 @@ obs::RegistrySnapshot ShardedRuntime::snapshot() const {
   // suspect is completed (the acquire pairs with the scan thread's
   // release of suspects_completed_) *and* no busy shard could still
   // forward more. flush() first for a complete view.
-  if (scan_engine_ != nullptr && all_quiescent &&
+  if (all_quiescent &&
       suspects_completed_.load(std::memory_order_acquire) ==
           suspects_forwarded_.load(std::memory_order_relaxed)) {
-    parts.push_back(scan_engine_->registry().snapshot());
+    parts.push_back(scan_engine_.registry().snapshot());
   }
   return obs::merge_snapshots(parts);
 }

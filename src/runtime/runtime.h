@@ -1,8 +1,8 @@
 // The concurrent sharded detection runtime.
 //
 // A layer between flow ingestion and the analysis engine: N worker
-// threads, each owning a private InFilterEngine (its own EIA table, scan
-// buffer, and metrics registry), fed by bounded SPSC rings from P
+// threads, each owning a private InFilterEngine (its own EIA table,
+// hop-count table, and metrics registry), fed by bounded SPSC rings from P
 // producers -- one ring per (producer, shard) pair, merged by the worker.
 // Producers hash each flow's source /24 to a fixed shard, so every flow
 // from one source -- and every flow sharing that source's EIA
@@ -37,18 +37,21 @@
 //     (ingress, source /24) -- a refinement of the shard hash -- and the
 //     per-shard merge preserves tag order, so a shard engine sees the
 //     same state-relevant history a serial engine would.
-//   * NNS: exact. Trained clusters are shared immutable state and the
+//   * NNS: exact. It runs on the one suspect engine (below), and the
 //     probe RNG is derived per flow (core/engine.h), not from a stream.
-//   * Scan analysis: exact. The suspect buffer keys on *destination*
-//     (hosts-per-port / ports-per-host), which source-sharding would
-//     split. Instead, shard engines run only the EIA stage
-//     (pre_process_batch); flows that fail it are forwarded -- tagged
-//     with their dispatch sequence number -- over per-shard SPSC rings to
-//     one scan-stage thread, which reorders them (a min-heap reorder
-//     window bounded by per-shard watermarks) back into tag order and
-//     completes them (scan -> NNS -> alert) on a single shared engine.
-//     Verdicts, alert streams, and scan stats are bit-identical to the
-//     serial engine at every shard count and every producer count --
+//   * Post-EIA stages: exact, in every engine mode. The scan buffer keys
+//     on *destination* (hosts-per-port / ports-per-host), which
+//     source-sharding would split, and alert ids must form one dense
+//     sequence. So shard engines run only the EIA stage
+//     (pre_process_batch); flows that fail it are forwarded -- tagged with
+//     their dispatch sequence number -- over per-shard SPSC rings to one
+//     scan-stage thread, which reorders them (a min-heap reorder window
+//     bounded by per-shard watermarks) back into tag order and completes
+//     them (scan -> NNS -> alert) on a single suspect engine. That engine
+//     follows its own config: kBasic and scan-off runs skip the stages
+//     they disable (core/engine.cpp), so there is one topology for every
+//     mode. Verdicts, alert streams, and scan stats are bit-identical to
+//     the serial engine at every shard count and every producer count --
 //     tests/test_runtime.cpp pins shards {1,2,4,8} x producers {1,2,4}.
 //     A shard's watermark is the largest tag it has fully pre-processed
 //     through (the merge `bound`), which the per-producer published
@@ -62,13 +65,14 @@
 // safe to call while producers are live -- submits briefly block, the
 // gate-holder advances every producer's published watermark (no claims
 // can be in flight), waits for quiescence, and releases. A caller with a
-// single submitting thread uses producer 0, submit_batch's default. Alerts
-// funnel through one alert::SerializingSink, so any AlertSink works
-// unmodified; with the scan stage active only the scan engine emits
-// (legal flows never alert). Workers spin briefly when idle, then park on
-// a per-shard condition variable; a producer wakes a parked worker only
-// when it pushes into that worker's rings. The scan thread parks the same
-// way and is woken by workers forwarding suspects.
+// single submitting thread uses producer 0, submit_batch's default. Only
+// the suspect engine emits alerts (legal flows never alert), so the
+// caller's AlertSink is called from the one scan thread, in dispatch
+// order, with ids dense from 1 -- any AlertSink works unmodified. Workers
+// spin briefly when idle, then park on a per-shard condition variable; a
+// producer wakes a parked worker only when it pushes into that worker's
+// rings. The scan thread parks the same way and is woken by workers
+// forwarding suspects.
 //
 // CPU placement: when RuntimeConfig::cpu_set is non-empty, each worker
 // pins itself to cpu_set[(cpu_slot_offset + shard index) % size] and the
@@ -191,16 +195,16 @@ class ShardedRuntime {
  public:
   /// Called once per flow when its verdict is final: on the owning
   /// worker's thread for legal flows, on the scan-stage thread for
-  /// suspect flows (on the worker for those too when the scan stage is
-  /// inactive). `item.seq` carries the realized dispatch sequence, which
-  /// is how the equivalence tests reconstruct the total order a
+  /// suspect flows. `item.seq` carries the realized dispatch sequence,
+  /// which is how the equivalence tests reconstruct the total order a
   /// multi-producer run committed to. The callable must be thread-safe
   /// (threads invoke it concurrently).
   using VerdictHook =
       std::function<void(const FlowItem& item, const core::Verdict& verdict)>;
 
-  /// Spawns the workers. `sink` (optional, not owned) receives every
-  /// shard's alerts, serialized and renumbered into one dense id sequence.
+  /// Spawns the workers and the scan thread. `sink` (optional, not owned)
+  /// is the suspect engine's: it receives every alert, from the scan
+  /// thread, in dispatch order.
   explicit ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink = nullptr,
                           VerdictHook hook = nullptr);
   /// Drains and joins (shutdown()).
@@ -209,15 +213,16 @@ class ShardedRuntime {
   ShardedRuntime(const ShardedRuntime&) = delete;
   ShardedRuntime& operator=(const ShardedRuntime&) = delete;
 
-  // -- Training phase (fans out to every shard engine) --
+  // -- Training phase --
   // Gate-exclusive like flush(): safe while producers are live, though the
   // intended use is before traffic starts.
 
   /// Preloads an EIA entry into every shard's table.
   void add_expected(core::IngressId ingress, const net::Prefix& prefix);
-  /// Installs one trained cluster set, shared (immutable) by all shards.
+  /// Installs one trained cluster set on the suspect engine, the only one
+  /// that runs the NNS stage.
   void set_clusters(std::shared_ptr<const core::TrainedClusters> clusters);
-  /// Trains once and shares the result across shards.
+  /// Trains once and installs the result (set_clusters).
   void train(std::span<const netflow::V5Record> normal_flows);
 
   // -- Normal processing phase --
@@ -265,16 +270,14 @@ class ShardedRuntime {
   /// Do not call while workers are running (engines are not locked).
   [[nodiscard]] const core::InFilterEngine& shard_engine(std::size_t shard) const;
   /// The shared engine completing every suspect flow (scan -> NNS ->
-  /// alert), or null when the stage is inactive (kBasic mode, or scan
-  /// analysis disabled -- per-shard engines then run the whole pipeline,
-  /// which is already serial-exact). Same access rules as shard_engine():
-  /// inspect only after flush().
-  [[nodiscard]] const core::InFilterEngine* scan_stage_engine() const {
-    return scan_engine_.get();
+  /// alert) and holding the trained clusters. Same access rules as
+  /// shard_engine(): inspect only after flush().
+  [[nodiscard]] const core::InFilterEngine& scan_stage_engine() const {
+    return scan_engine_;
   }
 
   /// One registry view: the runtime's own metrics merged with the shard
-  /// engines' -- and, when active, the scan-stage engine's -- registries
+  /// engines' and the scan-stage engine's registries
   /// (obs::merge_snapshots). Takes the submit gate exclusively, so it is
   /// safe while producers are live (their submits stall for the
   /// duration). The runtime's own metrics (atomic counters/histograms,
@@ -283,9 +286,8 @@ class ShardedRuntime {
   /// in only while that engine is quiescent (every dispatched flow, and
   /// every forwarded suspect, processed). Call flush() first for a
   /// complete, exact view; a mid-stream snapshot silently omits busy
-  /// engines. With the scan stage active, the split engine halves divide
-  /// the pipeline counters so the merged totals still equal a serial
-  /// engine's (core/engine.h).
+  /// engines. The split engine halves divide the pipeline counters so
+  /// the merged totals still equal a serial engine's (core/engine.h).
   [[nodiscard]] obs::RegistrySnapshot snapshot() const;
 
   // -- Lifecycle operations (src/lifecycle) --
@@ -346,7 +348,7 @@ class ShardedRuntime {
     /// One ring per producer slot; the worker merges them in tag order.
     std::vector<std::unique_ptr<SpscRing<FlowItem>>> rings;
     std::unique_ptr<core::InFilterEngine> engine;
-    /// Worker -> scan stage, only when the scan stage is active.
+    /// Worker -> scan stage.
     std::unique_ptr<SpscRing<SeqSuspect>> suspect_ring;
     std::thread worker;
     /// Shard index, for trace-lane naming and cpu-slot assignment.
@@ -392,21 +394,21 @@ class ShardedRuntime {
   std::size_t push_batch_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
                                            std::span<const FlowItem> items);
   void note_occupancy(Shard& shard);
+  /// Replaces shards_ with `count` empty shards (rings, an EIA-stage
+  /// engine with no sink and no clusters, the suspect ring) whose
+  /// watermarks start at `watermark`. Threads must not be running.
+  void build_shards(int count, std::uint64_t watermark);
   void flush_locked();
-  /// Stops and joins the workers and (if active) the scan thread. Caller
-  /// holds the gate and has flushed; shards_ stay intact for harvesting.
+  /// Stops and joins the workers and the scan thread. Caller holds the
+  /// gate and has flushed; shards_ stay intact for harvesting.
   void join_threads_locked();
-  /// Spawns one worker per shard plus the scan thread (if active), after
-  /// resetting the stop flags. Mirrors the constructor's thread start.
+  /// Spawns one worker per shard plus the scan thread, after resetting
+  /// the stop flags. Mirrors the constructor's thread start.
   void start_threads_locked();
   void wake(Shard& shard);
   void wake_scan();
 
   RuntimeConfig config_;
-  alert::SerializingSink sink_;
-  /// Whether the shard engines were built with &sink_ (the constructor's
-  /// `sink` parameter was non-null); resize() rebuilds them identically.
-  bool engine_sink_ = false;
   VerdictHook hook_;
   obs::Tracer* tracer_ = nullptr;  ///< config_.tracer; may be null
   std::vector<std::unique_ptr<ProducerSlot>> producers_;
@@ -421,12 +423,13 @@ class ShardedRuntime {
   /// counter, and (b) gives the quiescence checks a stable frontier.
   mutable std::shared_mutex submit_gate_;
 
-  // -- Shared scan stage (active iff kEnhanced && use_scan_analysis) --
+  // -- Shared scan stage --
 
   /// The one engine whose scan buffer sees every suspect, in dispatch
-  /// order. Its EIA table is unused (pre-EIA context rides along in
-  /// SuspectFlow); null when the stage is inactive.
-  std::unique_ptr<core::InFilterEngine> scan_engine_;
+  /// order, and the only one with clusters and the caller's sink. Its EIA
+  /// table is unused (pre-EIA context rides along in SuspectFlow). Never
+  /// rebuilt, so its scan buffer and alert ids survive resize().
+  core::InFilterEngine scan_engine_;
   std::thread scan_thread_;
   /// The shared claim counter: the last tag handed out. Producers claim
   /// ranges with fetch_add (one RMW per submit call).

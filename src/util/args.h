@@ -20,10 +20,12 @@ namespace infilter::util {
 
 class Args {
  public:
-  /// Parses argv. `flag_names` lists options that take no value; every
-  /// other "--name" consumes the following token as its value.
+  /// Parses argv. `flag_names` lists the options that take no value,
+  /// `value_names` those that consume the following token as their value;
+  /// any other "--name" is an Error naming it.
   static Result<Args> parse(int argc, const char* const* argv,
-                            const std::vector<std::string>& flag_names = {});
+                            const std::vector<std::string>& flag_names,
+                            const std::vector<std::string>& value_names);
 
   [[nodiscard]] bool has(const std::string& name) const {
     return values_.contains(name) || flags_.contains(name);

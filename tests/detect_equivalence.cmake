@@ -5,7 +5,8 @@
 #         -DWORK=<dir> -DCHECK=threads -P detect_equivalence.cmake
 #     Replays MIXED at --threads 1, at --threads 4 and through loopback
 #     ingest at --threads 2 --ingest-threads 1. All three must print the
-#     same "flows analyzed" line and a byte-identical IDMEF stream.
+#     same "flows analyzed" line and a byte-identical IDMEF stream. Then
+#     the same for --mode basic at --threads 1 and --threads 4.
 #
 #   ... -DCHECK=dump_eia -P detect_equivalence.cmake
 #     --dump-eia then --eia: the dumped EIA sets load back, and a run
@@ -74,6 +75,26 @@ if(CHECK STREQUAL "threads")
     endif()
     message(STATUS "${flags}: ${line}; IDMEF stream identical to --threads 1")
   endforeach()
+  # Basic InFilter: the suspect engine still emits every alert, in
+  # dispatch order, whatever the shard count.
+  run_detect(basic_reference --idmef --mode basic --threads 1)
+  analyzed_line(basic_line "${basic_reference}")
+  idmef_stream(basic_stream "${basic_reference}")
+  run_detect(output --idmef --mode basic --threads 4)
+  analyzed_line(line "${output}")
+  idmef_stream(stream "${output}")
+  if(NOT line STREQUAL basic_line)
+    message(FATAL_ERROR "--mode basic --threads 4: '${line}' != '${basic_line}' "
+                        "at --threads 1")
+  endif()
+  if(NOT stream STREQUAL basic_stream)
+    file(WRITE ${WORK}/idmef_basic_reference.xml "${basic_stream}")
+    file(WRITE ${WORK}/idmef_basic_mismatch.xml "${stream}")
+    message(FATAL_ERROR "--mode basic --threads 4: IDMEF stream differs from "
+                        "--threads 1 (see ${WORK}/idmef_basic_*.xml)")
+  endif()
+  message(STATUS "--mode basic --threads 4: ${line}; IDMEF stream identical "
+                 "to --threads 1")
 elseif(CHECK STREQUAL "dump_eia")
   set(first ${WORK}/eia_dump.txt)
   set(second ${WORK}/eia_dump_reloaded.txt)

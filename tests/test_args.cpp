@@ -5,15 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace infilter::util {
 namespace {
 
+/// The value options the tests below pass.
+const std::vector<std::string> kValueNames = {"threads", "offset", "queue-depth",
+                                              "seed"};
+
+Result<Args> try_parse(std::vector<const char*> argv,
+                       const std::vector<std::string>& flags = {},
+                       const std::vector<std::string>& values = kValueNames) {
+  argv.insert(argv.begin(), "prog");
+  return Args::parse(static_cast<int>(argv.size()), argv.data(), flags, values);
+}
+
 Args parse(std::vector<const char*> argv,
            const std::vector<std::string>& flags = {}) {
-  argv.insert(argv.begin(), "prog");
-  const auto parsed = Args::parse(static_cast<int>(argv.size()), argv.data(), flags);
+  const auto parsed = try_parse(std::move(argv), flags);
   EXPECT_TRUE(parsed.has_value()) << parsed.error().message;
   return *parsed;
 }
@@ -24,6 +35,26 @@ TEST(Args, ParsesValuesFlagsAndPositionals) {
   EXPECT_EQ(args.value("threads"), "4");
   EXPECT_TRUE(args.has("idmef"));
   EXPECT_FALSE(args.has("queue-depth"));
+}
+
+// A misspelled option is an error naming it, not a silently ignored value.
+TEST(Args, RejectsTypoedOptionNamingIt) {
+  const auto typo = try_parse({"capture.bin", "--thread", "4"}, {"idmef"});
+  ASSERT_FALSE(typo.has_value());
+  EXPECT_NE(typo.error().message.find("--thread"), std::string::npos);
+  const auto flag_typo = try_parse({"--idmeff"}, {"idmef"});
+  ASSERT_FALSE(flag_typo.has_value());
+  EXPECT_NE(flag_typo.error().message.find("--idmeff"), std::string::npos);
+}
+
+// An option a tool no longer reads (infilter-detect's --overload) fails
+// loudly instead of running as if it were not given.
+TEST(Args, RejectsRemovedOverloadOption) {
+  const auto removed = try_parse(
+      {"mixed.bin", "--threads", "2", "--overload", "drop-oldest"}, {"idmef"});
+  ASSERT_FALSE(removed.has_value());
+  EXPECT_NE(removed.error().message.find("unknown option --overload"),
+            std::string::npos);
 }
 
 TEST(Args, CheckedIntAcceptsInRangeValues) {

@@ -437,14 +437,12 @@ TEST(LifecycleResize, MidStreamResizeSweepReplaysIdenticalAlertStream) {
         SCOPED_TRACE("alert " + std::to_string(i));
         expect_same_alert(sharded_sink.alerts()[i], replay_sink.alerts()[i]);
       }
-      if (rt.scan_stage_engine() != nullptr) {
-        const auto& replay_scan = replay.scan().stats();
-        const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
-        EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
-        EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
-        EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
-        EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
-      }
+      const auto& replay_scan = replay.scan().stats();
+      const auto& sharded_scan = rt.scan_stage_engine().scan().stats();
+      EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
+      EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
+      EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
+      EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
       const auto snap = rt.snapshot();
       EXPECT_DOUBLE_EQ(snap.value("infilter_lifecycle_resizes_total"), 2.0);
       // Resize-retired engine history stays in the merged view: every

@@ -184,35 +184,6 @@ TEST(MergeSnapshots, BoundsMismatchKeepsFirstHistogramIntact) {
   EXPECT_EQ(lat->counts[1], 0u);
 }
 
-// -- SerializingSink --
-
-TEST(SerializingSink, RenumbersConcurrentAlertsDensely) {
-  alert::CollectingSink inner;
-  alert::SerializingSink sink(&inner);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 250;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        alert::Alert a;
-        a.id = static_cast<std::uint64_t>(t);  // shard-local ids collide
-        sink.consume(a);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  ASSERT_EQ(inner.alerts().size(),
-            static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(sink.delivered(), static_cast<std::uint64_t>(kThreads * kPerThread));
-  std::set<std::uint64_t> ids;
-  for (const auto& a : inner.alerts()) ids.insert(a.id);
-  EXPECT_EQ(ids.size(), inner.alerts().size());  // no collisions
-  EXPECT_EQ(*ids.begin(), 1u);                   // dense from 1
-  EXPECT_EQ(*ids.rbegin(), static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
 // -- ShardedRuntime --
 
 sim::ExperimentConfig runtime_config() {
@@ -223,6 +194,18 @@ sim::ExperimentConfig runtime_config() {
   c.engine.cluster.bits_per_feature = 48;
   c.seed = 77;
   return c;
+}
+
+/// The testbed's Table 3 EIA preloads, into a serial engine or a runtime.
+template <class Target>
+void preload_eia(Target& target, const sim::ExperimentConfig& config) {
+  for (int s = 0; s < config.sources; ++s) {
+    const auto port = static_cast<core::IngressId>(config.first_port + s);
+    const auto range = dagflow::eia_range(s, config.blocks_per_source);
+    for (int b = range.first.index(); b <= range.last.index(); ++b) {
+      target.add_expected(port, net::SubBlock{b}.prefix());
+    }
+  }
 }
 
 void expect_same_result(const sim::ExperimentResult& x,
@@ -258,9 +241,9 @@ TEST(ShardedRuntime, ShardOfIsStableAndCoversAllShards) {
   EXPECT_EQ(seen.size(), 4u);  // hash actually spreads over the shards
 }
 
-// With scan analysis off, every pipeline stage keys its state on data
-// colocated by the shard hash, so N shards must reproduce the serial
-// engine's verdicts *exactly* -- the runtime's headline guarantee.
+// With scan analysis off, the suspect engine skips the scan stage and
+// runs NNS alone; N shards must still reproduce the serial engine's
+// verdicts *exactly* -- the runtime's headline guarantee.
 TEST(ShardedRuntime, ScanOffShardedExactlyMatchesSerial) {
   auto config = runtime_config();
   config.engine.use_scan_analysis = false;
@@ -409,13 +392,7 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
   alert::CollectingSink serial_sink;
   core::InFilterEngine serial(engine_config, &serial_sink);
   serial.set_clusters(clusters);
-  for (int s = 0; s < config.sources; ++s) {
-    const auto port = static_cast<core::IngressId>(config.first_port + s);
-    const auto range = dagflow::eia_range(s, config.blocks_per_source);
-    for (int b = range.first.index(); b <= range.last.index(); ++b) {
-      serial.add_expected(port, net::SubBlock{b}.prefix());
-    }
-  }
+  preload_eia(serial, config);
   for (const auto& flow : stream.flows) {
     (void)serial.process(flow.record, flow.arrival_port, flow.record.last);
   }
@@ -431,25 +408,18 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
     alert::CollectingSink sharded_sink;
     ShardedRuntime rt(runtime_config, &sharded_sink);
     rt.set_clusters(clusters);
-    for (int s = 0; s < config.sources; ++s) {
-      const auto port = static_cast<core::IngressId>(config.first_port + s);
-      const auto range = dagflow::eia_range(s, config.blocks_per_source);
-      for (int b = range.first.index(); b <= range.last.index(); ++b) {
-        rt.add_expected(port, net::SubBlock{b}.prefix());
-      }
-    }
+    preload_eia(rt, config);
     sim::submit_stream(rt, stream);
     rt.flush();
     ASSERT_EQ(rt.stats().dispatched, stream.flows.size());
 
-    ASSERT_NE(rt.scan_stage_engine(), nullptr);
     const auto& serial_scan = serial.scan().stats();
-    const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
+    const auto& sharded_scan = rt.scan_stage_engine().scan().stats();
     EXPECT_EQ(sharded_scan.observed, serial_scan.observed);
     EXPECT_EQ(sharded_scan.network_scans, serial_scan.network_scans);
     EXPECT_EQ(sharded_scan.host_scans, serial_scan.host_scans);
     EXPECT_EQ(sharded_scan.evictions, serial_scan.evictions);
-    EXPECT_EQ(rt.scan_stage_engine()->scan().buffered_flows(),
+    EXPECT_EQ(rt.scan_stage_engine().scan().buffered_flows(),
               serial.scan().buffered_flows());
 
     ASSERT_EQ(sharded_sink.alerts().size(), serial_sink.alerts().size());
@@ -463,6 +433,69 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
                      static_cast<double>(stream.flows.size()));
     EXPECT_DOUBLE_EQ(merged.value("infilter_alerts_total"),
                      static_cast<double>(serial_sink.alerts().size()));
+  }
+}
+
+// Basic InFilter (EIA only) runs the same topology: shards run the EIA
+// stage, and the suspect engine emits every alert in dispatch order, so
+// the stream -- ids, contents, order -- is the serial engine's.
+TEST(ShardedRuntime, BasicModeAlertStreamBitIdenticalToSerial) {
+  auto config = runtime_config();
+  config.engine.mode = core::EngineMode::kBasic;
+  const auto stream = sim::generate_stream(config);
+
+  alert::CollectingSink serial_sink;
+  core::InFilterEngine serial(config.engine, &serial_sink);
+  preload_eia(serial, config);
+  for (const auto& flow : stream.flows) {
+    (void)serial.process(flow.record, flow.arrival_port, flow.record.last);
+  }
+  ASSERT_GT(serial_sink.alerts().size(), 0u);
+
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeConfig runtime_config;
+    runtime_config.shards = shards;
+    runtime_config.engine = config.engine;
+    alert::CollectingSink sharded_sink;
+    ShardedRuntime rt(runtime_config, &sharded_sink);
+    preload_eia(rt, config);
+    sim::submit_stream(rt, stream);
+    rt.flush();
+    ASSERT_EQ(sharded_sink.alerts().size(), serial_sink.alerts().size());
+    for (std::size_t i = 0; i < serial_sink.alerts().size(); ++i) {
+      SCOPED_TRACE("alert " + std::to_string(i));
+      expect_same_alert(sharded_sink.alerts()[i], serial_sink.alerts()[i]);
+    }
+  }
+}
+
+// The trained clusters live on the suspect engine alone, so the metrics
+// read from them (training size, index query count) are counted once in
+// the merged snapshot, whatever the shard count.
+TEST(ShardedRuntime, NnsMetricsCountTrainedClustersOnce) {
+  const auto config = runtime_config();
+  const auto stream = sim::generate_stream(config);
+  std::vector<netflow::V5Record> records;
+  for (const auto& flow : stream.flows) {
+    if (!flow.attack && records.size() < 500) records.push_back(flow.record);
+  }
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeConfig runtime_config;
+    runtime_config.shards = shards;
+    runtime_config.engine = config.engine;
+    ShardedRuntime rt(runtime_config);
+    rt.train(records);
+    preload_eia(rt, config);
+    sim::submit_stream(rt, stream);
+    rt.flush();
+    const auto merged = rt.snapshot();
+    EXPECT_DOUBLE_EQ(merged.value("infilter_nns_trained_flows"),
+                     static_cast<double>(records.size()));
+    ASSERT_GT(merged.value("infilter_nns_assessed_total"), 0.0);
+    EXPECT_DOUBLE_EQ(merged.value("infilter_nns_index_assessments_total"),
+                     merged.value("infilter_nns_assessed_total"));
   }
 }
 
@@ -615,7 +648,6 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
                       hooks.fetch_add(1);
                       if (verdict.suspect) suspect_hooks.fetch_add(1);
                     });
-  ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 3000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
     ASSERT_TRUE(submit_one(rt, {simple_flow(i), 9001, i}));  // no EIA entries: all miss
@@ -627,7 +659,7 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
   EXPECT_EQ(stats.suspects_completed, kFlows);
   EXPECT_EQ(hooks.load(), kFlows);
   EXPECT_EQ(suspect_hooks.load(), kFlows);
-  EXPECT_EQ(rt.scan_stage_engine()->scan().stats().observed, kFlows);
+  EXPECT_EQ(rt.scan_stage_engine().scan().stats().observed, kFlows);
   // The merged view reconciles: the EIA halves on the shards, the scan
   // half on the stage engine, no flow double-counted or lost.
   const auto merged = rt.snapshot();
@@ -684,18 +716,26 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
   config.queue_depth = 32;
   config.backpressure = BackpressurePolicy::kBlock;
   config.engine.mode = core::EngineMode::kBasic;
-  // kBasic keeps the scan stage inactive, so the hook fires on the owning
-  // worker thread only: one writer per shard log, no lock needed.
+  // Every source is expected at its ingress, so every flow is legal and
+  // its hook fires on the owning worker thread -- in the order that worker
+  // merged it, not the scan stage's reordered one -- and each shard log
+  // has one writer, no lock needed.
   std::array<std::vector<std::uint64_t>, kShards> seq_log;
   std::array<std::vector<std::uint64_t>, kShards> tag_log;
+  std::atomic<std::uint64_t> suspects{0};
   {
     ShardedRuntime rt(config, nullptr,
-                      [&](const FlowItem& item, const core::Verdict&) {
+                      [&](const FlowItem& item, const core::Verdict& verdict) {
+                        if (verdict.suspect) {
+                          suspects.fetch_add(1);
+                          return;
+                        }
                         const auto shard =
                             ShardedRuntime::shard_of(item.record.src_ip, kShards);
                         seq_log[shard].push_back(item.seq);
                         tag_log[shard].push_back(item.tag);
                       });
+    rt.add_expected(9001, *net::Prefix::parse("10.0.0.0/8"));
     ASSERT_EQ(rt.producer_count(), static_cast<std::size_t>(kProducers));
     std::atomic<int> live{kProducers};
     std::vector<std::thread> producers;
@@ -739,6 +779,7 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
       seq_by_producer[p][tag_log[s][i] & 0xFFFFFFFFu] = seq_log[s][i];
     }
   }
+  EXPECT_EQ(suspects.load(), 0u);
   EXPECT_EQ(total, kPerProducer * kProducers);
   EXPECT_EQ(seqs.size(), total);  // seqs globally unique across producers
   // Each producer's seq claims are monotone in its own submission order.
@@ -766,16 +807,6 @@ TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
   engine_config.seed = config.seed;
   const auto n = stream.flows.size();
 
-  const auto preload = [&](auto& target) {
-    for (int s = 0; s < config.sources; ++s) {
-      const auto port = static_cast<core::IngressId>(config.first_port + s);
-      const auto range = dagflow::eia_range(s, config.blocks_per_source);
-      for (int b = range.first.index(); b <= range.last.index(); ++b) {
-        target.add_expected(port, net::SubBlock{b}.prefix());
-      }
-    }
-  };
-
   for (const int shards : {1, 2, 4, 8}) {
     for (const int producers : {1, 2, 4}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
@@ -791,7 +822,7 @@ TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
                           seq_of[item.tag] = item.seq;
                         });
       rt.set_clusters(clusters);
-      preload(rt);
+      preload_eia(rt, config);
       std::atomic<int> live{producers};
       std::vector<std::thread> threads;
       for (int p = 0; p < producers; ++p) {
@@ -824,7 +855,7 @@ TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
       alert::CollectingSink replay_sink;
       core::InFilterEngine replay(engine_config, &replay_sink);
       replay.set_clusters(clusters);
-      preload(replay);
+      preload_eia(replay, config);
       for (const auto i : order) {
         const auto& flow = stream.flows[i];
         (void)replay.process(flow.record, flow.arrival_port, flow.record.last);
@@ -836,14 +867,12 @@ TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
         SCOPED_TRACE("alert " + std::to_string(i));
         expect_same_alert(sharded_sink.alerts()[i], replay_sink.alerts()[i]);
       }
-      if (rt.scan_stage_engine() != nullptr) {
-        const auto& replay_scan = replay.scan().stats();
-        const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
-        EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
-        EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
-        EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
-        EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
-      }
+      const auto& replay_scan = replay.scan().stats();
+      const auto& sharded_scan = rt.scan_stage_engine().scan().stats();
+      EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
+      EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
+      EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
+      EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
@@ -86,7 +87,7 @@ TEST(TraceRing, FullRingRejectsAndFreedSlotIsReusable) {
 TEST(ThreadLane, OverflowDropsNewestAndCountsEveryLoss) {
   obs::ThreadLane lane("worker", "worker", /*ring_capacity=*/4, {});
   for (std::uint64_t i = 0; i < 6; ++i) {
-    lane.emit(SpanKind::kProcess, 100 + i, 10, i);
+    lane.emit(SpanKind::kEia, 100 + i, 10, i);
   }
   EXPECT_EQ(lane.events_emitted(), 4u);
   EXPECT_EQ(lane.events_dropped(), 2u);
@@ -97,7 +98,7 @@ TEST(ThreadLane, OverflowDropsNewestAndCountsEveryLoss) {
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].id, i);  // oldest kept
 
   // Drained capacity is reusable; accounting keeps running totals.
-  lane.emit(SpanKind::kProcess, 200, 10, 42);
+  lane.emit(SpanKind::kEia, 200, 10, 42);
   EXPECT_EQ(lane.events_emitted(), 5u);
   EXPECT_EQ(lane.events_dropped(), 2u);
 }
@@ -168,7 +169,7 @@ TEST(Tracer, RegistryExposesCountsRolesAndExternalValueMetrics) {
   auto* a = tracer.register_thread("shard-0", "worker");
   tracer.register_thread("shard-1", "worker");
   tracer.register_thread("decode", "decode");
-  a->emit(SpanKind::kProcess, 1, 1, 0);
+  a->emit(SpanKind::kEia, 1, 1, 0);
   tracer.e2e_us->observe(5.0);
 
   const auto snap = tracer.snapshot();
@@ -249,7 +250,7 @@ TEST(Tracer, ConcurrentWritersWithLiveSnapshotsAndExports) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         lane->set_state(ThreadState::kBusy);
-        lane->emit(SpanKind::kProcess, Tracer::now_ns(), 100, i);
+        lane->emit(SpanKind::kEia, Tracer::now_ns(), 100, i);
         lane->heartbeat();
       }
       lane->retire();
@@ -330,7 +331,9 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
   runtime::RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 1024;
-  config.engine.mode = core::EngineMode::kBasic;  // no scan stage: kProcess path
+  // Basic mode runs the same topology as Enhanced: every flow here is an
+  // EIA miss, so every journey crosses the scan stage.
+  config.engine.mode = core::EngineMode::kBasic;
   config.tracer = &tracer;
   constexpr std::uint64_t kFlows = 500;
   {
@@ -343,29 +346,40 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
     const auto snap = tracer.snapshot();
     const auto* e2e = snap.histogram("infilter_e2e_latency_us");
     const auto* shard_wait = snap.histogram("infilter_queue_wait_shard_us");
+    const auto* scan_wait = snap.histogram("infilter_queue_wait_scan_us");
     ASSERT_NE(e2e, nullptr);
     ASSERT_NE(shard_wait, nullptr);
+    ASSERT_NE(scan_wait, nullptr);
     EXPECT_EQ(e2e->count, kFlows);
     EXPECT_EQ(shard_wait->count, kFlows);
+    EXPECT_EQ(scan_wait->count, kFlows);
     EXPECT_EQ(tracer.events_dropped(), 0u);
-    EXPECT_EQ(tracer.events_emitted(), 2 * kFlows);  // queue_shard + process
+    // queue_shard + eia on the worker, queue_scan + scan_nns on the stage.
+    EXPECT_EQ(tracer.events_emitted(), 4 * kFlows);
 
     const auto spans = parse_spans(tracer.chrome_trace_json());
-    ASSERT_EQ(spans.size(), 2 * kFlows);
+    ASSERT_EQ(spans.size(), 4 * kFlows);
     std::map<std::uint64_t, std::vector<ParsedSpan>> journeys;
     for (const auto& span : spans) journeys[span.id].push_back(span);
     ASSERT_EQ(journeys.size(), kFlows);
 
+    const std::vector<std::string> hops = {"queue_shard", "eia", "queue_scan",
+                                           "scan_nns"};
     double span_total_us = 0.0;
     for (auto& [id, journey] : journeys) {
-      ASSERT_EQ(journey.size(), 2u) << "journey " << id;
-      if (journey[0].ts > journey[1].ts) std::swap(journey[0], journey[1]);
-      EXPECT_EQ(journey[0].name, "queue_shard");
-      EXPECT_EQ(journey[1].name, "process");
-      // Tiling: each span starts where the previous one ended (exact in
-      // ns; the export prints microseconds with 3 decimals, i.e. exactly).
-      EXPECT_NEAR(journey[0].ts + journey[0].dur, journey[1].ts, 0.002);
-      span_total_us += journey[0].dur + journey[1].dur;
+      ASSERT_EQ(journey.size(), hops.size()) << "journey " << id;
+      std::sort(journey.begin(), journey.end(),
+                [](const ParsedSpan& x, const ParsedSpan& y) { return x.ts < y.ts; });
+      for (std::size_t s = 0; s < hops.size(); ++s) {
+        EXPECT_EQ(journey[s].name, hops[s]) << "journey " << id;
+        span_total_us += journey[s].dur;
+        // Tiling: each span starts where the previous one ended (exact in
+        // ns; the export prints microseconds with 3 decimals, i.e. exactly).
+        if (s > 0) {
+          EXPECT_NEAR(journey[s - 1].ts + journey[s - 1].dur, journey[s].ts, 0.002)
+              << "journey " << id << " span " << s;
+        }
+      }
     }
     // Same stamps feed both sides, so the sums agree to rounding noise.
     EXPECT_NEAR(span_total_us, e2e->sum, 0.01 * static_cast<double>(kFlows));
@@ -408,7 +422,8 @@ TEST(TraceRuntime, SamplingKeysOnTagNotInternalSequence) {
   ASSERT_NE(e2e, nullptr);
   EXPECT_EQ(e2e->count, 13u);  // ceil(100 / 8): tags 0, 8, ..., 96
   const auto spans = parse_spans(tracer.chrome_trace_json());
-  EXPECT_EQ(spans.size(), 2 * 13u);
+  // Every flow misses EIA: queue_shard, eia, queue_scan, scan_nns each.
+  EXPECT_EQ(spans.size(), 4 * 13u);
   for (const auto& span : spans) {
     EXPECT_EQ(span.id % 8, 0u) << "journey started under an unsampled id";
   }
@@ -432,7 +447,6 @@ TEST(TraceRuntime, ScanStageJourneysTileAcrossAllFourSpans) {
   config.tracer = &tracer;
   Tracer* tracer_ptr = &tracer;
   runtime::ShardedRuntime rt(config);
-  ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 200;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
     ASSERT_TRUE(submit_one(rt, {simple_flow(i), 9001, i, i + 1}));

@@ -28,7 +28,8 @@ int fail(const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"ascii"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"ascii"}, {"flows", "out", "ports", "timeout-ms"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
   const auto out_path = args.value("out");

@@ -101,7 +101,12 @@ util::Result<std::vector<flowtools::CapturedFlow>> load_flows(const std::string&
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"ascii", "idmef", "ttl-detect"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"ascii", "idmef", "ttl-detect"},
+      {"backpressure", "bits", "buffer", "cpu-set", "dump-eia", "eia",
+       "eia-backend", "eia-max-idle", "ingest-threads", "learn", "metrics-out",
+       "mode", "queue-depth", "resize-shards", "seed", "threads", "trace-out",
+       "trace-sample", "train", "ttl-tolerance"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
   if (args.positional().size() != 1) return fail("exactly one capture FILE expected");
@@ -290,7 +295,7 @@ int main(int argc, char** argv) {
     for (const auto& flow : *training) records.push_back(flow.record);
     rt.train(records);
     std::printf("trained on %zu flows (d = %d)\n", records.size(),
-                rt.shard_engine(0).clusters()->dimension());
+                rt.scan_stage_engine().clusters()->dimension());
   }
 
   if (ingest_threads > 0) {

@@ -38,7 +38,10 @@ int fail(const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"ascii", "list-attacks", "send"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"ascii", "list-attacks", "send"},
+      {"attack-volume", "attacks", "flows", "out", "sampling", "seed", "source",
+       "spoof-block"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
 

@@ -106,7 +106,12 @@ bool write_metrics(const std::string& path, const obs::RegistrySnapshot& snapsho
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"idmef", "ttl-detect"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"idmef", "ttl-detect"},
+      {"cpu-set", "duration-ms", "eia", "eia-backend", "eia-max-idle",
+       "ingest-threads", "metrics-out", "mode", "ports", "queue-depth",
+       "resize-shards", "threads", "trace-out", "trace-sample", "train",
+       "ttl-tolerance"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
 

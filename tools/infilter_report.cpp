@@ -55,7 +55,8 @@ util::Result<flowtools::GroupField> parse_group(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"ascii"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"ascii"}, {"dstport", "group", "proto", "srcprefix", "top"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
   if (args.positional().size() != 1) return fail("exactly one capture FILE expected");
