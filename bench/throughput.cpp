@@ -392,7 +392,7 @@ int main(int argc, char** argv) {
   const auto parsed = util::Args::parse(
       argc, argv, {"smoke"},
       {"churn", "flows", "out", "producers", "queue-depth", "source-dist",
-       "zipf-s"});
+       "threads", "zipf-s"});
   if (!parsed) {
     std::fprintf(stderr, "throughput: %s\n", parsed.error().message.c_str());
     return 1;

@@ -15,9 +15,10 @@
 // sink appending IDMEF documents to a feed -- are called with serialized
 // consume() invocations by every engine in this repository; the sharded
 // runtime calls consume() only from its one scan thread. Concatenated
-// feeds written from a sink therefore never interleave two documents, which is what makes parse_idmef_stream's
-// "split on message boundaries" contract sound under the concurrent
-// runtime. The parse functions themselves are pure and re-entrant.
+// feeds written from a sink therefore never interleave two documents,
+// which is what makes parse_idmef_stream's "split on message boundaries"
+// contract sound under the concurrent runtime. The parse functions
+// themselves are pure and re-entrant.
 
 #pragma once
 

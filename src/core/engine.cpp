@@ -127,7 +127,7 @@ void InFilterEngine::register_component_metrics() {
   registry_->counter_fn(
       "infilter_nns_index_assessments_total",
       [this] { return clusters_ != nullptr ? clusters_->stats().assessments : 0; },
-      "NNS queries against the trained clusters (all sharing engines)");
+      "NNS queries against the trained clusters");
   registry_->counter_fn(
       "infilter_nns_no_neighbor_total",
       [this] { return clusters_ != nullptr ? clusters_->stats().no_neighbor : 0; },
